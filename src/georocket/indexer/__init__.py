@@ -1,28 +1,17 @@
 """Asynchronous chunk indexing: extraction, spatial tree, embedded index."""
 
 from .documents import IndexDocument, IndexedAttribute
-from .extract import (
-    Extraction,
-    build_document,
-    extract_attributes,
-    extract_bbox,
-    extract_tokens,
-    register_extractor,
-    run_extractors,
-)
+from .extract import build_document, extract_attributes, extract_bbox, extract_tokens
 from .index import ChunkIndex
 from .spatial import SpatialIndex, StrTree
 
 __all__ = [
     "IndexDocument",
     "IndexedAttribute",
-    "Extraction",
     "build_document",
     "extract_attributes",
     "extract_bbox",
     "extract_tokens",
-    "register_extractor",
-    "run_extractors",
     "ChunkIndex",
     "SpatialIndex",
     "StrTree",

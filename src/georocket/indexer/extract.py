@@ -2,8 +2,8 @@
 
 Extraction is schema-agnostic: it scans for known patterns (coordinate
 elements, generic attribute elements, GeoJSON properties) instead of
-interpreting a specific schema. Extractors are registered per format, one
-per kind of pattern, so new ones can be plugged in.
+interpreting a specific schema. An XML chunk is read in one ``pyexpat``
+pass, a GeoJSON chunk with ``json``.
 """
 
 from __future__ import annotations
@@ -11,69 +11,46 @@ from __future__ import annotations
 import html
 import json
 import re
-from dataclasses import dataclass, field
+from xml.parsers import expat
 
 from ..model import BoundingBox, Format, TypedValue
-from ..splitter.feed import ByteFeed
-from ..splitter.xmlsplit import local_name, parse_attributes, xml_events
 from ..text import tokenize
 from .documents import IndexDocument, IndexedAttribute
 
 
-@dataclass
-class Extraction:
-    """Accumulator the registered extractors fill in."""
-
-    bbox: BoundingBox | None = None
-    attributes: list[IndexedAttribute] = field(default_factory=list)
-    tokens: set[str] = field(default_factory=set)
-
-
-_REGISTRY: dict[Format, list] = {Format.XML: [], Format.GEOJSON: []}
-
-
-def register_extractor(fmt: Format, extractor) -> None:
-    """Register ``extractor(content: bytes, out: Extraction)`` for a format."""
-    _REGISTRY[fmt].append(extractor)
-
-
-def run_extractors(fmt: Format, content: bytes) -> Extraction:
-    out = Extraction()
-    for extractor in _REGISTRY[fmt]:
-        extractor(content, out)
-    return out
-
-
 def extract_bbox(chunk) -> BoundingBox | None:
     """Bounding box of a chunk's geometry, or None if it has no coordinates."""
-    return run_extractors(_fmt_of(chunk), chunk.content).bbox
+    return _extract(chunk.parents.format, chunk.content)[0]
 
 
 def extract_attributes(chunk) -> list[IndexedAttribute]:
     """Key-value pairs found in the chunk content itself."""
-    return run_extractors(_fmt_of(chunk), chunk.content).attributes
+    return _extract(chunk.parents.format, chunk.content)[1]
 
 
 def extract_tokens(chunk) -> set[str]:
     """Lowercased full-text tokens of all textual content."""
-    return run_extractors(_fmt_of(chunk), chunk.content).tokens
-
-
-def _fmt_of(chunk) -> Format:
-    return chunk.parents.format
+    return _extract(chunk.parents.format, chunk.content)[2]
 
 
 def build_document(entry) -> IndexDocument:
     """Index projection of a stored entry (content + metadata snapshot)."""
-    result = run_extractors(entry.metadata.format, entry.content)
+    bbox, attributes, tokens = _extract(entry.metadata.format, entry.content)
     return IndexDocument(
         chunk_id=entry.id,
-        bbox=result.bbox,
-        attributes=tuple(result.attributes),
-        tokens=frozenset(result.tokens),
+        bbox=bbox,
+        attributes=tuple(attributes),
+        tokens=frozenset(tokens),
         metadata=entry.metadata,
         sequence=entry.sequence,
     )
+
+
+def _extract(fmt: Format, content: bytes):
+    """(bbox, attributes, tokens) of one chunk's content."""
+    if fmt == Format.XML:
+        return _xml_extract(content)
+    return _geojson_extract(content)
 
 
 # --- XML ----------------------------------------------------------------
@@ -82,34 +59,15 @@ _GEOMETRY_NAMES = {"posList", "pos", "coordinates", "lowerCorner", "upperCorner"
 _NUMBER_SPLIT = re.compile(r"[\s,]+")
 
 
-def _xml_walk(content: bytes):
-    """(event, payload) pairs for one chunk: element stack plus text runs.
-
-    Yields ("start", name, attrs), ("text", str), ("end", name). Attribute
-    values are also yielded as text so they reach the token extractor.
-    """
-    feed = ByteFeed([content])
-    for event in xml_events(feed, 0):
-        kind = event[0]
-        if kind == "start":
-            tag = feed.slice(event[1], event[2])
-            attrs = parse_attributes(tag)
-            name = local_name(event[3])
-            yield ("start", name, attrs)
-            if event[4]:
-                yield ("end", name, None)
-        elif kind == "end":
-            yield ("end", local_name(event[3]), None)
-        elif kind == "text":
-            yield ("text", feed.slice(event[1], event[2]).decode("utf-8", "replace"), None)
-        elif kind == "cdata":
-            raw = feed.slice(event[1] + 9, event[2] - 3)
-            yield ("cdata", raw.decode("utf-8", "replace"), None)
-
-
-def _xml_extract(content: bytes, out: Extraction) -> None:
-    """Single-pass XML scan feeding bbox, attribute, and token extraction."""
+def _xml_extract(content: bytes):
+    """Single pass over an XML chunk feeding bbox, attribute, and token
+    extraction. Malformed content yields what was read before the error;
+    absence of patterns is not an error."""
     points: list = []
+    attributes: list[IndexedAttribute] = []
+    # token text: character data and attribute values, with a space at every
+    # markup boundary so that no token spans two text runs
+    texts: list[str] = []
     frames: list[tuple[str, int, str | None]] = []  # (local name, dim, attribute key)
     geom_depth = 0  # > 0 while inside a coordinate-bearing element
     geom_dim = 2
@@ -118,108 +76,115 @@ def _xml_extract(content: bytes, out: Extraction) -> None:
     value_key: str | None = None
     value_text: list[str] = []
 
-    try:
-        for kind, payload, attrs in _xml_walk(content):
-            if kind == "start":
-                dim = frames[-1][1] if frames else 2
-                attr_key = None
-                for name, value in attrs:
-                    short = name.rpartition(":")[2]
-                    if short == "srsDimension":
-                        try:
-                            dim = max(1, int(value.strip()))
-                        except ValueError:
-                            pass
-                    elif short == "name" and payload.endswith("Attribute"):
-                        attr_key = value
-                    out.tokens.update(tokenize(html.unescape(value)))
-                frames.append((payload, dim, attr_key))
-                if payload in _GEOMETRY_NAMES:
-                    if geom_depth == 0:
-                        geom_dim = dim
-                    geom_depth += 1
-                if payload == "value":
-                    if value_depth > 0:
-                        value_depth += 1
-                    else:
-                        key = next((k for _, _, k in reversed(frames) if k is not None), None)
-                        if key is not None:
-                            value_key = key
-                            value_depth = 1
-            elif kind == "end":
-                if frames:
-                    frames.pop()
-                if payload in _GEOMETRY_NAMES and geom_depth:
-                    geom_depth -= 1
-                    if geom_depth == 0:
-                        _collect_points("".join(geom_text), geom_dim, points)
-                        geom_text.clear()
-                if payload == "value" and value_depth:
-                    value_depth -= 1
-                    if value_depth == 0:
-                        out.attributes.append(
-                            IndexedAttribute(
-                                value_key, TypedValue.from_text("".join(value_text).strip())
-                            )
-                        )
-                        value_text.clear()
-                        value_key = None
-            else:  # text / cdata
-                text = html.unescape(payload) if kind == "text" else payload
-                out.tokens.update(tokenize(text))
-                if geom_depth:
-                    geom_text.append(text)
-                if value_depth:
-                    value_text.append(text)
-    except Exception:
-        # malformed content yields whatever was extracted so far; absence of
-        # patterns is not an error
-        pass
+    def start(tag, attrs):
+        nonlocal geom_depth, geom_dim, value_depth, value_key
+        name = tag.rpartition(":")[2]
+        dim = frames[-1][1] if frames else 2
+        attr_key = None
+        texts.append(" ")
+        if attrs:
+            pairs = iter(attrs)
+            for key, value in zip(pairs, pairs):
+                short = key.rpartition(":")[2]
+                if short == "srsDimension":
+                    try:
+                        dim = max(1, int(value.strip()))
+                    except ValueError:
+                        pass
+                elif short == "name" and name.endswith("Attribute"):
+                    attr_key = value
+                texts.append(value)
+                texts.append(" ")
+        frames.append((name, dim, attr_key))
+        if name in _GEOMETRY_NAMES:
+            if geom_depth == 0:
+                geom_dim = dim
+            geom_depth += 1
+        if name == "value":
+            if value_depth > 0:
+                value_depth += 1
+            else:
+                key = next((k for _, _, k in reversed(frames) if k is not None), None)
+                if key is not None:
+                    value_key = key
+                    value_depth = 1
 
-    if points:
-        out.bbox = _merge_boxes(out.bbox, BoundingBox.from_points(points))
+    def end(tag):
+        nonlocal geom_depth, value_depth, value_key
+        name = frames.pop()[0]
+        texts.append(" ")
+        if name in _GEOMETRY_NAMES and geom_depth:
+            geom_depth -= 1
+            if geom_depth == 0:
+                _collect_points("".join(geom_text), geom_dim, points)
+                geom_text.clear()
+        if name == "value" and value_depth:
+            value_depth -= 1
+            if value_depth == 0:
+                attributes.append(
+                    IndexedAttribute(value_key, TypedValue.from_text("".join(value_text).strip()))
+                )
+                value_text.clear()
+                value_key = None
+
+    def text(data):
+        texts.append(data)
+        if geom_depth:
+            geom_text.append(data)
+        if value_depth:
+            value_text.append(data)
+
+    def boundary(*_):
+        texts.append(" ")
+
+    parser = expat.ParserCreate()
+    parser.UseForeignDTD(True)
+    parser.ordered_attributes = True
+    parser.buffer_text = True
+    parser.StartElementHandler = start
+    parser.EndElementHandler = end
+    parser.CharacterDataHandler = text
+    # an undeclared entity reads as its HTML meaning (&nbsp; is a space)
+    parser.SkippedEntityHandler = lambda name, _: text(html.unescape(f"&{name};"))
+    parser.CommentHandler = boundary
+    parser.ProcessingInstructionHandler = boundary
+    parser.StartCdataSectionHandler = boundary
+    parser.EndCdataSectionHandler = boundary
+    try:
+        parser.Parse(content, True)
+    except expat.ExpatError:
+        parser.buffer_text = False  # delivers the text read before the error
+
+    bbox = BoundingBox.from_points(points) if points else None
+    return bbox, attributes, tokenize("".join(texts))
 
 
 def _collect_points(text: str, dim: int, points: list) -> None:
-    parts = [p for p in _NUMBER_SPLIT.split(text.strip()) if p]
-    numbers = []
-    for p in parts:
-        try:
-            numbers.append(float(p))
-        except ValueError:
-            return
-    for i in range(0, len(numbers) - dim + 1, dim):
-        points.append((numbers[i], numbers[i + 1] if dim > 1 else numbers[i]))
-
-
-def _merge_boxes(a: BoundingBox | None, b: BoundingBox | None) -> BoundingBox | None:
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return BoundingBox(
-        min(a.min_x, b.min_x),
-        min(a.min_y, b.min_y),
-        max(a.max_x, b.max_x),
-        max(a.max_y, b.max_y),
-    )
+    try:
+        numbers = [float(p) for p in _NUMBER_SPLIT.split(text.strip()) if p]
+    except ValueError:
+        return
+    end = len(numbers) - len(numbers) % dim
+    xs = numbers[0:end:dim]
+    points.extend(zip(xs, numbers[1:end:dim] if dim > 1 else xs))
 
 
 # --- GeoJSON ------------------------------------------------------------
 
 
-def _geojson_extract(content: bytes, out: Extraction) -> None:
+def _geojson_extract(content: bytes):
+    tokens: set[str] = set()
+    attributes: list[IndexedAttribute] = []
     try:
         obj = json.loads(content)
     except ValueError:
-        return
+        return None, attributes, tokens
     points: list = []
-    _geojson_scan(obj, out.tokens, points, in_coordinates=False)
-    if points:
-        out.bbox = _merge_boxes(out.bbox, BoundingBox.from_points(points))
+    _geojson_scan(obj, tokens, points, in_coordinates=False)
     props = obj.get("properties") if isinstance(obj, dict) else None
     if isinstance(props, dict):
-        _flatten_properties("", props, out.attributes)
+        _flatten_properties("", props, attributes)
+    return (BoundingBox.from_points(points) if points else None), attributes, tokens
 
 
 def _geojson_scan(node, tokens: set, points: list, in_coordinates: bool) -> None:
@@ -277,7 +242,3 @@ def _flatten_properties(prefix: str, obj: dict, attributes: list) -> None:
                 IndexedAttribute(full, TypedValue.of_text(json.dumps(value, separators=(",", ":"))))
             )
         # None: no value to index
-
-
-register_extractor(Format.XML, _xml_extract)
-register_extractor(Format.GEOJSON, _geojson_extract)

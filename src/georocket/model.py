@@ -29,7 +29,6 @@ __all__ = [
     "XmlParents",
     "GeoJsonParents",
     "Parents",
-    "Chunk",
     "ChunkMetadata",
     "MetadataDelta",
 ]
@@ -423,17 +422,6 @@ class ChunkMetadata:
             import_timestamp=int(rec["ts"]),
             format=Format(rec["format"]),
         )
-
-
-@dataclass(frozen=True)
-class Chunk:
-    """The immutable unit of storage: one feature's verbatim bytes plus context."""
-
-    id: str
-    content: bytes
-    parents: "XmlParents | GeoJsonParents"
-    sequence: int
-    format: Format
 
 
 @dataclass(frozen=True)

@@ -185,35 +185,31 @@ class GeoRocketApp:
     # --- index worker ---------------------------------------------------------
 
     def _index_worker(self) -> None:
+        pending = None  # an op taken from the queue while filling a batch
         while True:
-            item = self._queue.get()
+            item = pending if pending is not None else self._queue.get()
+            pending = None
             if item is _STOP:
                 return
+            ops = [item]
+            while item[0] == "add" and len(ops) < self.config.index_batch_size:
+                try:
+                    nxt = self._queue.get_nowait()
+                except queue.Empty:
+                    break
+                if nxt is _STOP or nxt[0] != "add":
+                    pending = nxt
+                    break
+                ops.append(nxt)
             try:
                 if item[0] == "add":
-                    batch = [item]
-                    while len(batch) < self.config.index_batch_size:
-                        try:
-                            nxt = self._queue.get_nowait()
-                        except queue.Empty:
-                            break
-                        if nxt is _STOP or nxt[0] != "add":
-                            self._handle_batch(batch)
-                            batch = []
-                            if nxt is _STOP:
-                                return
-                            self._rollback(nxt)
-                            break
-                        batch.append(nxt)
-                    if batch:
-                        self._handle_batch(batch)
+                    self._handle_batch(ops)
                 else:
                     self._rollback(item)
             except Exception:
                 logger.exception("index worker: unexpected failure")
-                for op in (item,):
-                    if op and op is not _STOP and len(op) > 1:
-                        op[1].fail("internal indexing failure")
+                for op in ops:
+                    op[1].fail("internal indexing failure")
 
     def _handle_batch(self, batch) -> None:
         if self.config.index_throttle_ms:

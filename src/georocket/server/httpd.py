@@ -156,6 +156,8 @@ class _Handler(BaseHTTPRequestHandler):
             length = self.headers.get("Content-Length")
             if length is None:
                 raise ParseError("request body requires Content-Length or chunked encoding")
+            if not (length.isascii() and length.isdigit()):
+                raise ParseError(f"malformed Content-Length {length!r}")
             raw = self._sized_blocks(int(length))
         if encoding in ("", "identity"):
             return raw

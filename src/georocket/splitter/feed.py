@@ -1,9 +1,9 @@
-"""Rolling buffer over a stream of byte blocks.
+"""Rolling buffer over a stream of byte blocks, for the GeoJSON scanner.
 
-Scanners address the input by absolute byte offset while the feed keeps only
-the bytes at or above a caller-controlled retention mark, so a single forward
-pass over an arbitrarily large file buffers at most one chunk plus a small
-constant. ``max_buffered`` records the high-water mark for memory tests.
+The scanner addresses the input by absolute byte offset while the feed keeps
+only the bytes at or above a caller-controlled retention mark, so a single
+forward pass over an arbitrarily large file buffers at most one chunk plus a
+small constant. ``max_buffered`` records the high-water mark for memory tests.
 """
 
 from __future__ import annotations
@@ -67,19 +67,6 @@ class ByteFeed:
                 return self._buf[abs_pos - self._base :].startswith(prefix)
         rel = abs_pos - self._base
         return self._buf[rel : rel + len(prefix)] == prefix
-
-    def find(self, sub: bytes, abs_start: int) -> int:
-        """Absolute index of the next occurrence of ``sub``, or -1 at EOF."""
-        start = max(abs_start, self._base)
-        while True:
-            idx = self._buf.find(sub, start - self._base)
-            if idx != -1:
-                return self._base + idx
-            old_end = self._base + len(self._buf)
-            if not self._pull():
-                return -1
-            # a match may straddle the old buffer end
-            start = max(self._base, abs_start, old_end - len(sub) + 1)
 
     def search(self, pattern: "re.Pattern[bytes]", abs_start: int) -> int:
         """Absolute index of the next match of a single-byte class pattern."""

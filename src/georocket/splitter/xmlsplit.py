@@ -2,32 +2,38 @@
 
 One forward pass divides a document into one chunk per direct child element
 of the root, regardless of element names, so no schema knowledge is needed.
-Chunk content is the child's verbatim byte range. The XML declaration and the
-root start tag are kept verbatim as enclosing context; the root end tag is
-synthesized from the root name (it must be emitted before the input ends).
+The structure comes from the stdlib's ``pyexpat``; chunk content is the
+child's verbatim byte range, cut from the retained input at the parser's
+byte offsets. The XML declaration and the root start tag are kept verbatim
+as enclosing context; the root end tag is synthesized from the root name (it
+must be emitted before the input ends).
 
 Comments and processing instructions between features are discarded, as is
 any DOCTYPE. Character data directly under the root is expected to be
 whitespace and is dropped. Input must be UTF-8 (or US-ASCII); an XML
-declaration naming another encoding is rejected.
+declaration naming another encoding is rejected. Entities that are not
+declared (such as ``&nbsp;``) are accepted and left as they are.
 """
 
 from __future__ import annotations
 
 import re
+from xml.parsers import expat
 
 from ..errors import UnsupportedEncodingError, XmlMalformedError
 from ..model import XmlParents
-from .feed import ByteFeed
 from .types import RawChunk
 
 _WS = b" \t\r\n"
-_TAG_DELIM = re.compile(rb"[>\"']")
-_NAME_END = re.compile(rb"[ \t\r\n/>]")
+_BOM = b"\xef\xbb\xbf"
+_NON_WS = re.compile(rb"[^ \t\r\n]")
+_START_TAG = re.compile(rb"<[^>\"']*(?:(?:\"[^\"]*\"|'[^']*')[^>\"']*)*>")
 _ATTR_RE = re.compile(rb"([^\s=/>'\"]+)\s*=\s*(?:\"([^\"]*)\"|'([^']*)')")
 _SRS_NAME_RE = re.compile(rb"(?<![-\w:.])srsName\s*=\s*(?:\"([^\"]*)\"|'([^']*)')")
 _ENCODING_RE = re.compile(rb"encoding\s*=\s*(?:\"([^\"]*)\"|'([^']*)')")
 _ACCEPTED_ENCODINGS = {"utf-8", "utf8", "us-ascii", "ascii"}
+_ENVELOPE_NAMES = ("boundedBy", "Envelope")
+_RELEASE_THRESHOLD = 1 << 18
 
 
 def parse_attributes(tag: bytes) -> list[tuple[str, str]]:
@@ -39,244 +45,157 @@ def parse_attributes(tag: bytes) -> list[tuple[str, str]]:
     return out
 
 
-def local_name(name: bytes) -> str:
-    return name.rpartition(b":")[2].decode("utf-8", "replace")
-
-
-def xml_events(feed: ByteFeed, start: int = 0):
-    """Yield (kind, abs_start, abs_end, ...) tuples for the raw XML structure.
-
-    Kinds: text, pi, comment, doctype, cdata, start (plus name and a
-    self-closing flag), end (plus name). Raises XmlMalformedError with the
-    byte offset on structural problems; higher-level balance checks are the
-    caller's job.
-    """
-    pos = start
-    while True:
-        lt = feed.find(b"<", pos)
-        if lt == -1:
-            end = feed.end()
-            if end > pos:
-                yield ("text", pos, end)
-            return
-        if lt > pos:
-            yield ("text", pos, lt)
-        nxt = feed.byte_at(lt + 1)
-        if nxt is None:
-            raise XmlMalformedError("input ends inside a tag", offset=lt)
-        if nxt == 0x3F:  # ?
-            end = feed.find(b"?>", lt + 2)
-            if end == -1:
-                raise XmlMalformedError("unterminated processing instruction", offset=lt)
-            yield ("pi", lt, end + 2)
-            pos = end + 2
-        elif nxt == 0x21:  # !
-            if feed.startswith(b"<!--", lt):
-                end = feed.find(b"-->", lt + 4)
-                if end == -1:
-                    raise XmlMalformedError("unterminated comment", offset=lt)
-                yield ("comment", lt, end + 3)
-                pos = end + 3
-            elif feed.startswith(b"<![CDATA[", lt):
-                end = feed.find(b"]]>", lt + 9)
-                if end == -1:
-                    raise XmlMalformedError("unterminated CDATA section", offset=lt)
-                yield ("cdata", lt, end + 3)
-                pos = end + 3
-            else:
-                pos = _scan_markup_decl(feed, lt)
-                yield ("doctype", lt, pos)
-        elif nxt == 0x2F:  # /
-            gt = feed.find(b">", lt + 2)
-            if gt == -1:
-                raise XmlMalformedError("unterminated end tag", offset=lt)
-            name = feed.slice(lt + 2, gt).strip(_WS)
-            if not name or any(c in name for c in _WS):
-                raise XmlMalformedError("malformed end tag", offset=lt)
-            yield ("end", lt, gt + 1, name)
-            pos = gt + 1
-        else:
-            gt = _scan_start_tag(feed, lt)
-            tag = feed.slice(lt, gt + 1)
-            m = _NAME_END.search(tag, 1)
-            name = tag[1 : m.start()] if m else tag[1:-1]
-            if not name:
-                raise XmlMalformedError("missing element name", offset=lt)
-            selfclosing = tag[-2:-1] == b"/"
-            yield ("start", lt, gt + 1, bytes(name), selfclosing)
-            pos = gt + 1
-
-
-def _scan_start_tag(feed: ByteFeed, lt: int) -> int:
-    """Index of the closing ``>`` of a start tag, skipping quoted values."""
-    i = lt + 1
-    while True:
-        j = feed.search(_TAG_DELIM, i)
-        if j == -1:
-            raise XmlMalformedError("unterminated start tag", offset=lt)
-        c = feed.byte_at(j)
-        if c == 0x3E:  # >
-            return j
-        q = feed.find(bytes([c]), j + 1)
-        if q == -1:
-            raise XmlMalformedError("unterminated attribute value", offset=j)
-        i = q + 1
-
-
-def _scan_markup_decl(feed: ByteFeed, lt: int) -> int:
-    """End offset of a <! ...> declaration, honouring [...] subsets and quotes."""
-    depth = 0
-    i = lt + 2
-    pat = re.compile(rb"[>\[\]\"']")
-    while True:
-        j = feed.search(pat, i)
-        if j == -1:
-            raise XmlMalformedError("unterminated markup declaration", offset=lt)
-        c = feed.byte_at(j)
-        if c == 0x5B:  # [
-            depth += 1
-        elif c == 0x5D:  # ]
-            depth = max(0, depth - 1)
-        elif c in (0x22, 0x27):  # quotes
-            q = feed.find(bytes([c]), j + 1)
-            if q == -1:
-                raise XmlMalformedError("unterminated literal in markup declaration", offset=j)
-            j = q
-        elif depth == 0:  # >
-            return j + 1
-        i = j + 1
-
-
 class XmlSplitter:
     """Splits one XML document; ``max_buffered`` reports peak buffered bytes."""
 
-    def __init__(self, compact_threshold: int = 1 << 18):
-        self._compact_threshold = compact_threshold
-        self._feed: ByteFeed | None = None
-
-    @property
-    def max_buffered(self) -> int:
-        return self._feed.max_buffered if self._feed else 0
+    def __init__(self):
+        self.max_buffered = 0
 
     def split(self, blocks):
         """Yield RawChunk for each direct child element of the root."""
-        feed = self._feed = ByteFeed(blocks, self._compact_threshold)
-        pos = 3 if feed.startswith(b"\xef\xbb\xbf", 0) else 0
-        prolog_end = pos
+        blocks = iter(blocks)
+        buf = bytearray()
 
-        declaration = None
-        first = feed.skip_ws(pos)
-        if first != -1 and feed.startswith(b"<?xml", first) and feed.byte_at(first + 5) in (
-            0x20, 0x09, 0x0D, 0x0A, 0x3F,
+        def pull() -> bool:
+            for block in blocks:
+                if block:
+                    buf.extend(block)
+                    return True
+            return False
+
+        # The prolog is read before parsing: the declaration's encoding is
+        # checked here, and pyexpat only sees input from the first
+        # non-whitespace byte after a BOM on.
+        while len(buf) < 3 and pull():
+            pass
+        first = 3 if buf.startswith(_BOM) else 0
+        declaration = bytes(buf[:first]) or None
+        while (m := _NON_WS.search(buf, first)) is None and pull():
+            pass
+        first = m.start() if m else len(buf)
+        while len(buf) < first + 6 and pull():
+            pass
+        if buf.startswith(b"<?xml", first) and buf[first + 5 : first + 6] in (
+            b" ", b"\t", b"\r", b"\n", b"?",
         ):
-            end = feed.find(b"?>", first)
-            if end == -1:
-                raise XmlMalformedError("unterminated XML declaration", offset=first)
-            decl = feed.slice(first, end + 2)
-            m = _ENCODING_RE.search(decl)
+            while (end := buf.find(b"?>", first)) == -1:
+                if not pull():
+                    raise XmlMalformedError("unterminated XML declaration", offset=first)
+            m = _ENCODING_RE.search(buf, first, end)
             if m:
                 enc = (m.group(1) or m.group(2)).decode("ascii", "replace").lower()
                 if enc not in _ACCEPTED_ENCODINGS:
                     raise UnsupportedEncodingError(f"unsupported encoding {enc!r}")
-            declaration = feed.slice(0, end + 2)
-            prolog_end = end + 2
-        elif pos:
-            declaration = feed.slice(0, pos)
+            declaration = bytes(buf[: end + 2])
 
-        stack: list[bytes] = []
+        base = 0  # absolute offset of buf[0]
+        depth = 0
         parents = None
         doc_crs = None
-        env_crs = None
-        chunk_start = None
-        chunk_name = b""
+        chunk_start = -1  # absolute offset of the open chunk, -1 when none
+        done: list[tuple[int, int, str]] = []  # (start, end event offset, name)
+
+        parser = expat.ParserCreate(encoding="utf-8")
+        parser.UseForeignDTD(True)  # undeclared entities are not errors
+        parser.ordered_attributes = True
+
+        def start(name, attrs):
+            nonlocal depth, chunk_start, parents, doc_crs
+            if depth == 1:
+                chunk_start = parser.CurrentByteIndex + first
+            elif depth == 0:
+                pos = parser.CurrentByteIndex + first - base
+                root_start = bytes(buf[pos : _START_TAG.match(buf, pos).end()])
+                if root_start.endswith(b"/>"):
+                    root_start = root_start[:-2].rstrip(_WS) + b">"
+                doc_crs = next(
+                    (v for a, v in parse_attributes(root_start) if a.rpartition(":")[2] == "srsName"),
+                    None,
+                )
+                parents = XmlParents(
+                    root_start=root_start,
+                    root_end=b"</" + name.encode("utf-8") + b">",
+                    declaration=declaration,
+                )
+            depth += 1
+
+        def end(name):
+            nonlocal depth, chunk_start
+            depth -= 1
+            if depth == 1:
+                done.append((chunk_start, parser.CurrentByteIndex + first, name))
+                chunk_start = -1
+
+        def expand_nothing(*_):
+            # a default handler stops internal entities from being expanded
+            # into elements that are not in the input bytes
+            parser.DefaultHandler = lambda data: None
+
+        parser.StartElementHandler = start
+        parser.EndElementHandler = end
+        parser.StartDoctypeDeclHandler = expand_nothing
+
         sequence = 0
-        root_closed = False
-
-        for event in xml_events(feed, prolog_end):
-            kind, a, b = event[0], event[1], event[2]
-            depth = len(stack)
-            if kind == "text":
-                if depth == 0 and feed.slice(a, b).strip(_WS):
-                    raise XmlMalformedError("character data outside the root element", offset=a)
-            elif kind == "cdata":
-                if depth == 0:
-                    raise XmlMalformedError("CDATA outside the root element", offset=a)
-            elif kind in ("pi", "comment", "doctype"):
-                pass  # dropped when not inside a chunk
-            elif kind == "start":
-                name, selfclosing = event[3], event[4]
-                if depth == 0:
-                    if parents is not None or root_closed:
-                        raise XmlMalformedError("more than one root element", offset=a)
-                    root_start = feed.slice(a, b)
-                    if selfclosing:
-                        root_start = root_start[:-2].rstrip(_WS) + b">"
-                        root_closed = True
-                    for attr, value in parse_attributes(root_start):
-                        if attr.rpartition(":")[2] == "srsName":
-                            doc_crs = value
-                            break
-                    parents = XmlParents(
-                        root_start=root_start,
-                        root_end=b"</" + name + b">",
-                        declaration=declaration,
-                    )
-                    if not selfclosing:
-                        stack.append(name)
-                else:
-                    if depth == 1 and chunk_start is None:
-                        chunk_start = a
-                        chunk_name = name
-                        feed.retain_from(a)
-                    if not selfclosing:
-                        stack.append(name)
-                    elif depth == 1:
-                        content = feed.slice(a, b)
-                        yield _make_chunk(content, parents, sequence, env_crs, doc_crs)
-                        if local_name(chunk_name) in ("boundedBy", "Envelope"):
-                            env_crs = _first_srs_name(content) or env_crs
-                        sequence += 1
-                        chunk_start = None
-                        feed.retain_from(b)
-            elif kind == "end":
-                name = event[3]
-                if not stack:
-                    raise XmlMalformedError(
-                        f"unexpected end tag </{name.decode('utf-8', 'replace')}>", offset=a
-                    )
-                if stack[-1] != name:
-                    raise XmlMalformedError(
-                        f"end tag </{name.decode('utf-8', 'replace')}> does not match "
-                        f"<{stack[-1].decode('utf-8', 'replace')}>",
-                        offset=a,
-                    )
-                stack.pop()
-                if len(stack) == 1 and chunk_start is not None:
-                    content = feed.slice(chunk_start, b)
-                    yield _make_chunk(content, parents, sequence, env_crs, doc_crs)
-                    if local_name(chunk_name) in ("boundedBy", "Envelope"):
-                        env_crs = _first_srs_name(content) or env_crs
+        env_crs = None
+        data = bytes(buf[first:])
+        final = False
+        try:
+            while True:
+                if len(buf) > self.max_buffered:
+                    self.max_buffered = len(buf)
+                error = None
+                try:
+                    parser.Parse(data, final)
+                except expat.ExpatError as e:
+                    offset = max(parser.ErrorByteIndex, 0) + first
+                    error = XmlMalformedError(expat.errors.messages[e.code], offset=offset)
+                for a, b, name in done:
+                    content = _chunk_bytes(buf, a - base, b - base)
+                    own_crs = _first_srs_name(content)
+                    yield RawChunk(content=content, parents=parents, sequence=sequence,
+                                   crs_hint=own_crs or env_crs or doc_crs)
+                    if name.rpartition(":")[2] in _ENVELOPE_NAMES:
+                        env_crs = own_crs or env_crs
                     sequence += 1
-                    chunk_start = None
-                    feed.retain_from(b)
-                elif not stack:
-                    root_closed = True
-            if chunk_start is None:
-                feed.retain_from(b)
+                done.clear()
+                if error is not None:
+                    raise error
+                if final:
+                    return
+                # keep the open chunk, or what pyexpat has not consumed yet
+                keep = chunk_start if chunk_start != -1 else parser.CurrentByteIndex + first
+                if keep - base >= _RELEASE_THRESHOLD:
+                    del buf[: keep - base]
+                    base = keep
+                data = next(blocks, None)
+                final = data is None
+                if final:
+                    data = b""
+                buf.extend(data)
+        finally:
+            # the handlers refer to the parser; without them the parser and
+            # the retained input are freed now, not by a later full collection
+            parser.StartElementHandler = parser.EndElementHandler = None
+            parser.StartDoctypeDeclHandler = None
 
-        if parents is None:
-            raise XmlMalformedError("no root element", offset=feed.end())
-        if stack:
-            raise XmlMalformedError("input ends with unclosed elements", offset=feed.end())
 
+def _chunk_bytes(buf: bytearray, a: int, b: int) -> bytes:
+    """Bytes of the element starting at ``a`` whose end event was at ``b``.
 
-def _make_chunk(content, parents, sequence, env_crs, doc_crs) -> RawChunk:
-    crs = _first_srs_name(content) or env_crs or doc_crs
-    return RawChunk(content=content, parents=parents, sequence=sequence, crs_hint=crs)
+    pyexpat reports an end tag at its ``<``, and the end of a self-closing
+    element right after its ``/>``.
+    """
+    tag_end = _START_TAG.match(buf, a).end()
+    if buf[tag_end - 2] == 0x2F:  # /
+        return bytes(buf[a:tag_end])
+    return bytes(buf[a : buf.index(b">", b) + 1])
 
 
 def _first_srs_name(content: bytes) -> str | None:
-    m = _SRS_NAME_RE.search(content)
+    i = content.find(b"srsName")
+    if i == -1:
+        return None
+    m = _SRS_NAME_RE.search(content, i)
     if not m:
         return None
     return (m.group(1) if m.group(1) is not None else m.group(2)).decode("utf-8", "replace")

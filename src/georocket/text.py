@@ -16,7 +16,7 @@ _TOKEN_RE = re.compile(r"[^\W_]+(?:(?<=\d)[.-](?=\d)[^\W_]+)*")
 
 def tokenize(text: str) -> set[str]:
     """Lowercased token set of ``text``."""
-    return {m.group(0).lower() for m in _TOKEN_RE.finditer(text)}
+    return {t.lower() for t in set(_TOKEN_RE.findall(text))}
 
 
 def iter_tokens(text: str):

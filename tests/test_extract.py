@@ -209,6 +209,15 @@ class TestTokens:
         tokens = extract_tokens(chunk)
         assert "tom" in tokens and "jerry" in tokens and "amp" not in tokens
 
+    def test_markup_inside_text_separates_tokens(self):
+        chunk = xml_chunk(b"<a>foo<![CDATA[bar]]>baz<!--c-->qux<?pi x?>quux</a>")
+        assert extract_tokens(chunk) == {"foo", "bar", "baz", "qux", "quux"}
+
+    def test_markup_inside_coordinates_joins_text(self):
+        chunk = xml_chunk(b"<a><pos>1 2<!--c-->5 <![CDATA[3]]> 4</pos></a>")
+        box = extract_bbox(chunk)
+        assert (box.min_x, box.min_y, box.max_x, box.max_y) == (1, 4, 3, 25)  # 1 25 3 4
+
     def test_cdata_tokenised(self):
         assert "verbatim" in extract_tokens(xml_chunk(b"<a><![CDATA[verbatim]]></a>"))
 

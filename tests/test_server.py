@@ -1,6 +1,7 @@
 import io
 import json
 import re
+import socket
 import threading
 import time
 import xml.etree.ElementTree as ET
@@ -94,6 +95,21 @@ class TestImport:
             time.sleep(0.02)
         assert task.state is TaskState.FAILED
         assert "byte" in task.error
+
+    @pytest.mark.parametrize("length", [b"abc", b"-5", b"1_0", b"0x10"])
+    def test_malformed_content_length_is_parse_error(self, server, length):
+        request = (
+            b"POST /store/x HTTP/1.1\r\nHost: localhost\r\nContent-Length: " + length
+            + b"\r\nConnection: close\r\n\r\n<r/>"
+        )
+        with socket.create_connection(server.httpd.server_address[:2], timeout=10) as sock:
+            sock.sendall(request)
+            response = b""
+            while block := sock.recv(65536):
+                response += block
+        head, _, body = response.partition(b"\r\n\r\n")
+        assert head.split(b" ", 2)[1] == b"400", head
+        assert json.loads(body)["error"]["code"] == "PARSE_ERROR"
 
     def test_unsupported_format(self, server):
         resp = requests.post(server.url + "/store", data=b"PK\x03\x04zipzip")
@@ -352,6 +368,34 @@ class TestAsyncContract:
                 break
         final = json.loads(requests.get(srv.url + "/store/ev?format=geojson").content)
         assert len(final["features"]) == 12
+
+
+class TestIndexWorker:
+    def test_failed_batch_fails_every_task_in_it(self):
+        app = GeoRocketApp(ServerConfig(index_batch_size=64))
+        entered = threading.Event()
+        release = threading.Event()
+
+        def failing_add(docs):
+            entered.set()
+            release.wait(10)
+            raise RuntimeError("index unavailable")
+
+        app.index.add_documents = failing_add
+        try:
+            tasks = [app.import_stream(parse_layer_path("/a"), [make_geojson(2)])]
+            assert entered.wait(10)
+            # these queue up behind the blocked worker and form one batch
+            tasks += [app.import_stream(parse_layer_path(p), [make_geojson(2)])
+                      for p in ("/b", "/c", "/d")]
+            release.set()
+            deadline = time.time() + 10
+            while not all(t.is_terminal() for t in tasks) and time.time() < deadline:
+                time.sleep(0.01)
+            assert [t.state for t in tasks] == [TaskState.FAILED] * 4
+        finally:
+            release.set()
+            app.close()
 
 
 class TestConcurrentImports:

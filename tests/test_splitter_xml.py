@@ -1,3 +1,5 @@
+import hashlib
+import json
 import re
 import xml.etree.ElementTree as ET
 
@@ -8,8 +10,11 @@ from georocket.errors import (
     UnsupportedFormatError,
     XmlMalformedError,
 )
-from georocket.model import Format
+from georocket.indexer import build_document
+from georocket.indexer.extract import extract_attributes, extract_tokens
+from georocket.model import ChunkMetadata, Format, parse_layer_path
 from georocket.splitter import XmlSplitter, detect_format, split_auto, split_xml
+from georocket.store import StoredEntry
 
 from gendata import make_citygml
 
@@ -185,8 +190,70 @@ class TestMalformed:
         with pytest.raises(UnsupportedEncodingError):
             list(split_xml([b'<?xml version="1.0" encoding="UTF-16"?><a/>']))
 
+    @pytest.mark.parametrize("encoding", [b"ISO-8859-1", b"UTF-16", b"windows-1252"])
+    @pytest.mark.parametrize("block_size", [1, 65536])
+    def test_other_declared_encodings_rejected(self, encoding, block_size):
+        doc = b'<?xml version="1.0" encoding="' + encoding + b'"?><r><a>x</a></r>'
+        with pytest.raises(UnsupportedEncodingError):
+            list(split_xml([doc[i : i + block_size] for i in range(0, len(doc), block_size)]))
+
+    @pytest.mark.parametrize("block_size", [1, 65536])
+    @pytest.mark.parametrize("bad", [b'<b x="1" y>', b"<b x='1' x='2'>", b"<b>&</b>", b"< b>"])
+    def test_offset_is_absolute_far_into_the_input(self, block_size, bad):
+        head = b'\xef\xbb\xbf<?xml version="1.0"?>\n<r>' + b"<a>filler</a>\n" * 8000
+        doc = head + bad + b"</r>"
+        assert len(head) > 100_000
+        with pytest.raises(XmlMalformedError) as err:
+            list(split_xml([doc[i : i + block_size] for i in range(0, len(doc), block_size)]))
+        assert len(head) <= err.value.offset < len(head) + len(bad)
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            b"<r><a>Tom & Jerry</a></r>",            # bare ampersand
+            b"<r><a x='1' x='2'/></r>",              # duplicate attribute
+            b"<r><a>\xff</a></r>",                   # not UTF-8
+            b"<r><a>\x01</a></r>",                   # control character
+            b'<?xml version="1.0" encoding="UTF-8?><r/>',  # broken declaration
+        ],
+    )
+    def test_not_well_formed_input_rejected(self, doc):
+        with pytest.raises(XmlMalformedError) as err:
+            list(split_xml([doc]))
+        assert 0 <= err.value.offset < len(doc)
+
     def test_utf8_declaration_accepted(self):
         assert chunks_of(b'<?xml version="1.0" encoding="utf-8"?><a><b/></a>')
+
+
+class TestEntities:
+    def test_undeclared_entities_accepted_and_kept(self):
+        doc = b"<r><a>Hohe&nbsp;Stra&szlig;e caf&eacute; K&#246;ln &amp; more</a></r>"
+        (chunk,) = chunks_of(doc)
+        assert chunk.content == b"<a>Hohe&nbsp;Stra&szlig;e caf&eacute; K&#246;ln &amp; more</a>"
+        # an undeclared entity reads as its HTML meaning, as a whole text run
+        assert extract_tokens(chunk) == {"hohe", "straße", "café", "köln", "more"}
+
+    def test_doctype_entities_are_not_expanded_into_chunks(self):
+        doc = b'<!DOCTYPE r [<!ENTITY e "<x>t</x>">]><r><a>&e;</a><b/></r>'
+        assert [c.content for c in chunks_of(doc)] == [b"<a>&e;</a>", b"<b/>"]
+
+    def test_whitespace_before_declaration_accepted(self):
+        doc = b'\xef\xbb\xbf \n<?xml version="1.0"?><r><a/></r>'
+        (chunk,) = chunks_of(doc)
+        assert chunk.parents.declaration == b'\xef\xbb\xbf \n<?xml version="1.0"?>'
+
+    def test_undeclared_entity_in_attribute_value_is_dropped(self):
+        # pyexpat drops it from the decoded value: ``p&nbsp;q`` reads ``pq``
+        (chunk,) = chunks_of(b'<r><a n="p&nbsp;q">t</a></r>')
+        assert extract_tokens(chunk) == {"pq", "t"}
+
+    def test_generic_attribute_key_is_decoded(self):
+        (chunk,) = chunks_of(
+            b'<r><gen:stringAttribute name="a&amp;b"><gen:value>v</gen:value>'
+            b"</gen:stringAttribute></r>"
+        )
+        assert [a.key for a in extract_attributes(chunk)] == ["a&b"]
 
 
 class TestMemoryBound:
@@ -199,3 +266,66 @@ class TestMemoryBound:
         consumed = sum(1 for _ in splitter.split(blocks))
         assert consumed == count + 1  # members plus the boundedBy chunk
         assert splitter.max_buffered <= max_chunk + (1 << 20)
+
+
+EXTRA_MEMBERS = b"""  <gml:boundedBy><gml:Envelope srsName="EPSG:31466"><gml:lowerCorner>1 2</gml:lowerCorner><gml:upperCorner>3 4</gml:upperCorner></gml:Envelope></gml:boundedBy>
+  <core:cityObjectMember><bldg:Building gml:id="x1" srsName="EPSG:4326">
+    <gml:pos srsDimension="2">6.95 50.94</gml:pos>
+    <gen:stringAttribute name="note"><gen:value>Tom &amp; Jerry<![CDATA[ <raw> ]]><!-- c --> Ende</gen:value></gen:stringAttribute>
+    <gen:measureAttribute name="area"><gen:value>12.5</gen:value></gen:measureAttribute>
+    <xal:LocalityName>Hohe&nbsp;Stra&szlig;e<?pi data?>K&#246;ln</xal:LocalityName>
+  </bldg:Building></core:cityObjectMember>
+  <!-- between members -->
+  <core:cityObjectMember xlink:href="#b1"/>
+"""
+
+
+def golden_digest(doc: bytes, block_size: int) -> tuple[int, str]:
+    """(chunk count, sha256) over chunk bytes, context, CRS hints and the
+    index projection of every chunk."""
+    meta = ChunkMetadata(layer=parse_layer_path("/g"), import_timestamp=1, format=Format.XML)
+    digest = hashlib.sha256()
+    count = 0
+    for c in split_xml([doc[i : i + block_size] for i in range(0, len(doc), block_size)]):
+        entry = StoredEntry(id=f"C{c.sequence}", content=c.content, parents=c.parents,
+                            metadata=meta, sequence=c.sequence)
+        record = [
+            c.content.decode("utf-8"),
+            c.parents.declaration.decode("utf-8"),
+            c.parents.root_start.decode("utf-8"),
+            c.parents.root_end.decode("utf-8"),
+            c.sequence,
+            c.crs_hint,
+            build_document(entry).to_record(),
+        ]
+        digest.update(json.dumps(record, sort_keys=True).encode("utf-8"))
+        count += 1
+    return count, digest.hexdigest()
+
+
+class TestSeedOutput:
+    """A generated CityGML corpus yields fixed chunks and index projections.
+
+    The digest was computed with the splitter and extractor as they were
+    before they read XML with pyexpat."""
+
+    def corpus(self) -> bytes:
+        doc = make_citygml(12, wall_count=3)
+        doc = doc.replace(b"</core:CityModel>", EXTRA_MEMBERS + b"</core:CityModel>")
+        return doc.replace(
+            b"<core:CityModel ",
+            b'<core:CityModel srsName="EPSG:25832" xmlns:xlink="http://www.w3.org/1999/xlink" ',
+        )
+
+    @pytest.mark.parametrize("block_size", [1, 4096, 1 << 20])
+    def test_digest(self, block_size):
+        assert golden_digest(self.corpus(), block_size) == (
+            16, "4ade9574996670292c4c2c4612ea1aff4426f7e38689cfe48969cc87d5fd453b"
+        )
+
+    def test_crs_hints(self):
+        chunks = chunks_of(self.corpus())
+        hints = [c.crs_hint for c in chunks]
+        # envelope CRS, then a second envelope's, then a member's own srsName
+        assert hints[:13] == ["EPSG:25832"] * 13
+        assert hints[13:] == ["EPSG:31466", "EPSG:4326", "EPSG:31466"]
