@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import html
 import json
+import math
 import re
 from xml.parsers import expat
 
@@ -173,40 +174,42 @@ def _collect_points(text: str, dim: int, points: list) -> None:
 
 
 def _geojson_extract(content: bytes):
-    tokens: set[str] = set()
+    texts: list[str] = []
+    points: list = []
     attributes: list[IndexedAttribute] = []
     try:
         obj = json.loads(content)
-    except ValueError:
-        return None, attributes, tokens
-    points: list = []
-    _geojson_scan(obj, tokens, points, in_coordinates=False)
-    props = obj.get("properties") if isinstance(obj, dict) else None
-    if isinstance(props, dict):
-        _flatten_properties("", props, attributes)
-    return (BoundingBox.from_points(points) if points else None), attributes, tokens
+        _geojson_scan(obj, texts, points, in_coordinates=False)
+        props = obj.get("properties") if isinstance(obj, dict) else None
+        if isinstance(props, dict):
+            _flatten_properties("", props, attributes)
+    except (ValueError, RecursionError):
+        # not UTF-8 (the splitter keeps such bytes inside strings), or nested
+        # deeper than the interpreter's recursion limit
+        return None, [], set()
+    bbox = BoundingBox.from_points(points) if points else None
+    return bbox, attributes, tokenize(" ".join(texts))
 
 
-def _geojson_scan(node, tokens: set, points: list, in_coordinates: bool) -> None:
-    """Collect tokens from all string/number values and positions under
+def _geojson_scan(node, texts: list, points: list, in_coordinates: bool) -> None:
+    """Collect the text of all string/number values and positions under
     any ``coordinates`` key."""
     if isinstance(node, dict):
         for key, value in node.items():
-            _geojson_scan(value, tokens, points, key == "coordinates" or in_coordinates)
+            _geojson_scan(value, texts, points, key == "coordinates" or in_coordinates)
     elif isinstance(node, list):
         if in_coordinates and _is_position(node):
-            points.append((float(node[0]), float(node[1])))
-            for n in node:
-                tokens.update(tokenize(_number_text(n)))
+            points.append((_as_float(node[0]), _as_float(node[1])))
+            texts.extend(_number_text(n) for n in node)
             return
         for item in node:
-            _geojson_scan(item, tokens, points, in_coordinates)
+            _geojson_scan(item, texts, points, in_coordinates)
     elif isinstance(node, str):
-        tokens.update(tokenize(node))
+        texts.append(node)
     elif isinstance(node, bool):
         pass
     elif isinstance(node, (int, float)):
-        tokens.update(tokenize(_number_text(node)))
+        texts.append(_number_text(node))
 
 
 def _is_position(node: list) -> bool:
@@ -218,6 +221,15 @@ def _is_position(node: list) -> bool:
 
 def _number_text(n) -> str:
     return str(n) if isinstance(n, int) else repr(n)
+
+
+def _as_float(n) -> float:
+    """``float(n)``; an integer beyond the float range reads as ±inf, as json
+    reads ``1e400``."""
+    try:
+        return float(n)
+    except OverflowError:
+        return math.inf if n > 0 else -math.inf
 
 
 def _flatten_properties(prefix: str, obj: dict, attributes: list) -> None:
@@ -234,7 +246,7 @@ def _flatten_properties(prefix: str, obj: dict, attributes: list) -> None:
         elif isinstance(value, bool):
             attributes.append(IndexedAttribute(full, TypedValue.of_text("true" if value else "false")))
         elif isinstance(value, (int, float)):
-            attributes.append(IndexedAttribute(full, TypedValue.of_number(float(value))))
+            attributes.append(IndexedAttribute(full, TypedValue.of_number(_as_float(value))))
         elif isinstance(value, str):
             attributes.append(IndexedAttribute(full, TypedValue.from_text(value, numbers=False)))
         elif isinstance(value, list):

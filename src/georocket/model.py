@@ -21,7 +21,6 @@ __all__ = [
     "LayerPath",
     "ROOT_LAYER",
     "parse_layer_path",
-    "layer_is_ancestor_or_self",
     "BoundingBox",
     "DateValue",
     "TypedValue",
@@ -72,9 +71,6 @@ class LayerPath:
         """True iff this path's segments are a prefix of ``other``'s (or equal)."""
         return other.segments[: len(self.segments)] == self.segments
 
-    def child(self, segment: str) -> "LayerPath":
-        return LayerPath(self.segments + (segment,))
-
     def __str__(self) -> str:
         return "/" + "/".join(self.segments)
 
@@ -90,10 +86,6 @@ def parse_layer_path(text: str) -> LayerPath:
     characters (or the reserved ``.``/``..``).
     """
     return LayerPath(tuple(seg for seg in text.split("/") if seg))
-
-
-def layer_is_ancestor_or_self(a: LayerPath, b: LayerPath) -> bool:
-    return a.is_ancestor_or_self(b)
 
 
 def _finite(x: float) -> bool:

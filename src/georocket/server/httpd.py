@@ -23,6 +23,7 @@ from __future__ import annotations
 import contextlib
 import json
 import logging
+import re
 import threading
 import zlib
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -42,6 +43,9 @@ from .app import GeoRocketApp
 from .config import ServerConfig
 
 logger = logging.getLogger(__name__)
+
+# chunk-size [ chunk-ext ] CRLF (RFC 9112, section 7.1)
+_CHUNK_SIZE_LINE = re.compile(rb"([0-9A-Fa-f]+)(?:[ \t]*;[^\r\n]*)?\r\n")
 
 _STATUS_BY_CODE = {
     "PARSE_ERROR": 400,
@@ -177,10 +181,10 @@ class _Handler(BaseHTTPRequestHandler):
     def _chunked_blocks(self):
         while True:
             line = self.rfile.readline(1024)
-            try:
-                size = int(line.split(b";")[0].strip(), 16)
-            except ValueError:
-                raise ParseError("malformed chunked transfer encoding") from None
+            m = _CHUNK_SIZE_LINE.fullmatch(line)
+            if m is None:
+                raise ParseError("malformed chunked transfer encoding")
+            size = int(m.group(1), 16)
             if size == 0:
                 while True:  # trailers
                     trailer = self.rfile.readline(1024)
@@ -194,7 +198,8 @@ class _Handler(BaseHTTPRequestHandler):
                     raise ParseError("truncated chunked body")
                 remaining -= len(block)
                 yield block
-            self.rfile.read(2)  # CRLF after each chunk
+            if self.rfile.read(2) != b"\r\n":
+                raise ParseError("chunk data not followed by CRLF")
 
     # --- endpoints ------------------------------------------------------------
 

@@ -1,8 +1,8 @@
 """Streaming division of imported files into chunks.
 
-The splitters make a single forward pass over a byte stream and buffer at
-most one chunk plus a small constant, so arbitrarily large inputs can be
-processed. Format detection looks at the first non-whitespace byte.
+The splitters make a single forward pass over a byte stream and buffer
+about one chunk plus a constant (the GeoJSON splitter up to twice the chunk
+it is reading), so arbitrarily large inputs can be processed. Format detection looks at the first non-whitespace byte.
 """
 
 from __future__ import annotations

@@ -1,286 +1,195 @@
 """Streaming GeoJSON splitter.
 
 A top-level object carrying a ``features`` array is cut into one chunk per
-array element (each element's verbatim byte range, validated as JSON). Any
-other top-level object (a single feature, a bare geometry, or a geometry
-collection) becomes exactly one STANDALONE chunk equal to the whole value.
+array element. Any other top-level object (a single feature, a bare
+geometry, or a geometry collection) becomes exactly one STANDALONE chunk
+equal to the whole value. A legacy top-level ``crs`` member is used as a CRS
+hint for all chunks when it precedes the features array.
 
-Only the feature currently being scanned is buffered. The skeleton around
-the features array (usually a few hundred bytes) is kept and validated as
-JSON with the array emptied out. A legacy top-level ``crs`` member is used
-as a CRS hint for all chunks when it precedes the features array.
+The input is decoded incrementally, and every top-level key and value and
+every feature is read with ``json.JSONDecoder.raw_decode``, which finds
+where the value ends and validates it in one C call. Bytes that are not
+UTF-8 become surrogate escapes in the text, so a chunk encoded back from
+the text is the feature's verbatim byte range. Text before the feature
+being read is released past a threshold, so the buffer holds the largest
+feature (up to twice over while it is being read) plus a constant.
 """
 
 from __future__ import annotations
 
+import codecs
 import json
 import re
 
 from ..errors import JsonMalformedError
 from ..model import CollectionKind, GeoJsonParents
-from .feed import ByteFeed
 from .types import RawChunk
 
 _FC_PARENTS = GeoJsonParents(CollectionKind.FEATURE_COLLECTION)
 _STANDALONE_PARENTS = GeoJsonParents(CollectionKind.STANDALONE)
-# One token per hop: a complete string, a structural byte, or (only at the
-# buffer end) a still-open string that tells the scan where to resume after
-# pulling more input.
-_TOKEN = re.compile(rb'"(?:[^"\\]|\\.)*"|[{}\[\]]|"(?:[^"\\]|\\.)*\\?\Z')
-_STRING = re.compile(rb'"(?:[^"\\]|\\.)*"')
-_VALUE_END = re.compile(rb"[,\]} \t\r\n]")
-_BRACES = re.compile(rb"[{}\[\]]")
+_NON_WS = re.compile(r"[^ \t\r\n]")
+_RELEASE_THRESHOLD = 1 << 18
+# A value that ends or fails within this many characters of the end of the
+# text may have been cut by it: json reports a cut literal at its first
+# character ("-Infinit" is the longest), and reads "1e+" as the number 1
+# followed by "e+". Elsewhere only an unterminated string can be cut.
+_CUT_TAIL = len("-Infinit")
+_raw_decode = json.JSONDecoder().raw_decode
 
 
-def _scan_string(feed: ByteFeed, quote_abs: int) -> int:
-    """Offset just past the closing quote of the string starting at ``quote_abs``."""
-    span = feed.search_span(_STRING, quote_abs)
-    if span is None or span[0] != quote_abs:
-        raise JsonMalformedError("unterminated string", offset=quote_abs)
-    return span[1]
-
-
-def _scan_value(feed: ByteFeed, start: int) -> int:
-    """End offset (exclusive) of the JSON value starting at ``start``.
-
-    Structural only (balanced brackets, strings skipped whole); callers
-    validate the slice with json.loads, so malformed input still ends in a
-    typed error even if this scan slices it oddly.
-    """
-    c = feed.byte_at(start)
-    if c is None:
-        raise JsonMalformedError("unexpected end of input", offset=start)
-    if c == 0x22:  # "
-        return _scan_string(feed, start)
-    if c in (0x7B, 0x5B):  # { [
-        return _scan_balanced(feed, start)
-    j = feed.search(_VALUE_END, start)
-    return j if j != -1 else feed.end()
-
-
-def _scan_balanced(feed: ByteFeed, start: int) -> int:
-    """End of the object/array at ``start`` via depth counting.
-
-    Hot path: the buffer never compacts during the scan (only retain_from
-    compacts), so relative offsets stay valid between pulls.
-    """
-    depth = 0
-    pos = start
-    while True:
-        buf = feed._buf
-        base = feed._base
-        n = len(buf)
-        at_eof = feed.eof
-        resume = None
-        for m in _TOKEN.finditer(buf, pos - base):
-            end = m.end()
-            if end == n and not at_eof:
-                # token may be truncated by the buffer end; pull and rescan
-                resume = base + m.start()
-                break
-            c = buf[m.start()]
-            if c == 0x22:  # string (or, at EOF, an unterminated one)
-                if end == n and at_eof:
-                    mm = _STRING.match(buf, m.start())
-                    if mm is None or mm.end() != end:
-                        raise JsonMalformedError(
-                            "unterminated string", offset=base + m.start()
-                        )
-                continue
-            if c in (0x7B, 0x5B):
-                depth += 1
-            else:
-                depth -= 1
-                if depth == 0:
-                    return base + end
-        if resume is None:
-            # no token (or truncation point) left in the scanned region
-            if at_eof or not feed._pull():
-                raise JsonMalformedError("unterminated value", offset=start)
-            pos = base + n
-        else:
-            feed._pull()
-            pos = resume  # rescan the possibly-truncated token
-
-
-def _scan_braces(feed: ByteFeed, start: int):
-    """Optimistic end of the object at ``start``: bracket counting that
-    ignores strings. Wrong only when a string contains brackets, in which
-    case json.loads on the slice fails and the caller falls back to the
-    precise scanner. None when the input ends first."""
-    depth = 0
-    pos = start
-    while True:
-        buf = feed._buf
-        base = feed._base
-        n = len(buf)
-        for m in _BRACES.finditer(buf, pos - base):
-            if buf[m.start()] in (0x7B, 0x5B):
-                depth += 1
-            else:
-                depth -= 1
-                if depth == 0:
-                    return base + m.end()
-        if not feed._pull():
-            return None
-        pos = base + n
+def _encode(text: str) -> bytes:
+    return text.encode("utf-8", "surrogateescape")
 
 
 class GeoJsonSplitter:
     """Splits one GeoJSON document; ``max_buffered`` reports peak buffered bytes."""
 
-    def __init__(self, compact_threshold: int = 1 << 18):
-        self._compact_threshold = compact_threshold
-        self._feed: ByteFeed | None = None
-
-    @property
-    def max_buffered(self) -> int:
-        return self._feed.max_buffered if self._feed else 0
+    def __init__(self):
+        self.max_buffered = 0
+        self._blocks = iter(())
+        self._decoder = codecs.getincrementaldecoder("utf-8")("surrogateescape")
+        self._text = ""  # the input decoded from byte offset _base on
+        self._base = 0
+        self._read = 0  # input bytes taken from the blocks
+        self._eof = False
 
     def split(self, blocks):
-        feed = self._feed = ByteFeed(blocks, self._compact_threshold)
-        start = 3 if feed.startswith(b"\xef\xbb\xbf", 0) else 0
-        doc_start = feed.skip_ws(start)
-        if doc_start == -1:
+        self._blocks = iter(blocks)
+        while not self._text and not self._eof:
+            self._more(1)
+        doc = self._skip(1 if self._text.startswith("\ufeff") else 0)
+        if doc == -1:
             raise JsonMalformedError("empty input", offset=0)
-        if feed.byte_at(doc_start) != 0x7B:
-            raise JsonMalformedError("top-level value must be an object", offset=doc_start)
+        if self._text[doc] != "{":
+            raise self._error("top-level value must be an object", doc)
 
-        pos = doc_start + 1
         crs_hint = None
-        sequence = 0
-        features_found = False
-        prefix = b""
-        rbracket = None
+        split = False
+        pos = self._next(doc + 1, "inside object")
+        if self._text[pos] != "}":
+            while True:
+                if self._text[pos] != '"':
+                    raise self._error("expected an object key", pos)
+                key, pos = self._value(pos)
+                pos = self._next(pos, "after object key")
+                if self._text[pos] != ":":
+                    raise self._error("expected ':'", pos)
+                pos = self._next(pos + 1, "after ':'")
+                if key == "features" and not split and self._text[pos] == "[":
+                    split = True
+                    pos = yield from self._features(pos + 1, crs_hint)
+                else:
+                    value, pos = self._value(pos)
+                    if key == "crs" and not split:
+                        crs_hint = _crs_name(value) or crs_hint
+                pos = self._next(pos, "after value")
+                if self._text[pos] == "}":
+                    break
+                if self._text[pos] != ",":
+                    raise self._error("expected ',' or '}'", pos)
+                pos = self._next(pos + 1, "inside object")
 
-        while True:
-            pos = self._skip(feed, pos, "inside object")
-            c = feed.byte_at(pos)
-            if c == 0x7D:  # }
-                obj_end = pos + 1
-                break
-            if c != 0x22:
-                raise JsonMalformedError("expected an object key", offset=pos)
-            key_end = _scan_string(feed, pos)
-            try:
-                key = json.loads(feed.slice(pos, key_end).decode("utf-8", "replace"))
-            except ValueError:
-                raise JsonMalformedError("invalid object key", offset=pos) from None
-            pos = self._skip(feed, key_end, "after object key")
-            if feed.byte_at(pos) != 0x3A:  # :
-                raise JsonMalformedError("expected ':'", offset=pos)
-            pos = self._skip(feed, pos + 1, "after ':'")
-
-            if key == "features" and not features_found and feed.byte_at(pos) == 0x5B:
-                features_found = True
-                prefix = feed.slice(doc_start, pos + 1)
-                pos, rbracket, sequence = yield from self._features(
-                    feed, pos + 1, crs_hint
-                )
-            else:
-                value_end = _scan_value(feed, pos)
-                if key == "crs" and not features_found:
-                    crs_hint = _crs_name(feed.slice(pos, value_end)) or crs_hint
-                pos = value_end
-
-            pos = self._skip(feed, pos, "after value")
-            c = feed.byte_at(pos)
-            if c == 0x2C:  # ,
-                pos += 1
-            elif c != 0x7D:
-                raise JsonMalformedError("expected ',' or '}'", offset=pos)
-
-        tail = feed.skip_ws(obj_end)
+        end = pos + 1
+        tail = self._skip(end)
         if tail != -1:
-            raise JsonMalformedError("trailing data after top-level value", offset=tail)
+            raise self._error("trailing data after top-level value", tail)
+        if not split:
+            yield RawChunk(content=_encode(self._text[doc:end]), parents=_STANDALONE_PARENTS,
+                           sequence=0, crs_hint=crs_hint)
 
-        if features_found:
-            skeleton = prefix + feed.slice(rbracket, obj_end)
-            try:
-                json.loads(skeleton.decode("utf-8", "replace"))
-            except ValueError:
-                raise JsonMalformedError(
-                    "document around the features array is not valid JSON", offset=doc_start
-                ) from None
-        else:
-            content = feed.slice(doc_start, obj_end)
-            try:
-                json.loads(content.decode("utf-8", "replace"))
-            except ValueError as e:
-                raise JsonMalformedError(
-                    "invalid JSON document", offset=doc_start + e.pos
-                ) from None
-            yield RawChunk(
-                content=content,
-                parents=_STANDALONE_PARENTS,
-                sequence=0,
-                crs_hint=crs_hint,
-            )
-
-    def _features(self, feed: ByteFeed, pos: int, crs_hint):
-        """Yield one chunk per array element; returns (pos, rbracket, count)."""
+    def _features(self, pos: int, crs_hint):
+        """Yield one chunk per array element; returns the position after ``]``."""
+        pos = self._next(pos, "inside features array")
+        if self._text[pos] == "]":
+            return pos + 1
         sequence = 0
-        first = True
         while True:
-            pos = self._skip(feed, pos, "inside features array")
-            c = feed.byte_at(pos)
-            if c == 0x5D:  # ]
-                return pos + 1, pos, sequence
-            if not first:
-                if c != 0x2C:
-                    raise JsonMalformedError("expected ',' or ']'", offset=pos)
-                pos = self._skip(feed, pos + 1, "after ','")
-                c = feed.byte_at(pos)
-            first = False
-            if c != 0x7B:
-                raise JsonMalformedError("feature must be a JSON object", offset=pos)
-            feed.retain_from(pos)
-            end = _scan_braces(feed, pos)
-            content = feed.slice(pos, end) if end is not None else None
-            if content is None or not _is_valid_json(content):
-                end = _scan_value(feed, pos)  # precise scan; typed errors
-                content = feed.slice(pos, end)
-                try:
-                    json.loads(content.decode("utf-8", "replace"))
-                except ValueError as e:
-                    raise JsonMalformedError("invalid feature", offset=pos + e.pos) from None
-            yield RawChunk(
-                content=content,
-                parents=_FC_PARENTS,
-                sequence=sequence,
-                crs_hint=crs_hint,
-            )
+            if pos >= _RELEASE_THRESHOLD:
+                self._base += len(_encode(self._text[:pos]))
+                self._text = self._text[pos:]
+                pos = 0
+            if self._text[pos] != "{":
+                raise self._error("feature must be a JSON object", pos)
+            _, end = self._value(pos)
+            yield RawChunk(content=_encode(self._text[pos:end]), parents=_FC_PARENTS,
+                           sequence=sequence, crs_hint=crs_hint)
             sequence += 1
-            feed.retain_from(end)
-            pos = end
+            pos = self._next(end, "inside features array")
+            if self._text[pos] == "]":
+                return pos + 1
+            if self._text[pos] != ",":
+                raise self._error("expected ',' or ']'", pos)
+            pos = self._next(pos + 1, "after ','")
 
-    @staticmethod
-    def _skip(feed: ByteFeed, pos: int, where: str) -> int:
-        nxt = feed.skip_ws(pos)
+    def _more(self, need: int) -> None:
+        """Take at least ``need`` more bytes (and at least one block) of input."""
+        parts = []
+        for block in self._blocks:
+            parts.append(block)
+            need -= len(block)
+            if need <= 0:
+                break
+        else:
+            self._eof = True
+        data = b"".join(parts)
+        self._read += len(data)
+        self._text += self._decoder.decode(data, self._eof)
+        self.max_buffered = max(self.max_buffered, self._read - self._base)
+
+    def _skip(self, pos: int) -> int:
+        """Position of the next character that is not whitespace, or -1 at
+        the end of the input."""
+        while (m := _NON_WS.search(self._text, pos)) is None:
+            if self._eof:
+                return -1
+            pos = len(self._text)
+            self._more(1)
+        return m.start()
+
+    def _next(self, pos: int, where: str) -> int:
+        nxt = self._skip(pos)
         if nxt == -1:
-            raise JsonMalformedError(f"unexpected end of input {where}", offset=feed.end())
+            raise JsonMalformedError(f"unexpected end of input {where}", offset=self._read)
         return nxt
 
+    def _value(self, pos: int):
+        """The JSON value starting at ``pos`` and the position after it.
 
-def _is_valid_json(raw: bytes) -> bool:
-    try:
-        json.loads(raw.decode("utf-8", "replace"))
-    except ValueError:
-        return False
-    return True
+        A value cut by the end of the text is read again with more input,
+        which at least doubles the text from ``pos`` so that a large value is
+        decoded a logarithmic number of times."""
+        while True:
+            text = self._text
+            try:
+                value, end = _raw_decode(text, pos)
+            except json.JSONDecodeError as e:
+                cut = e.pos >= len(text) - _CUT_TAIL or e.msg.startswith("Unterminated string")
+                if self._eof or not cut:
+                    raise self._error(e.msg, e.pos) from None
+            except RecursionError:
+                raise self._error("JSON value nested too deeply", pos) from None
+            except ValueError:  # an integer longer than int() accepts
+                raise self._error("integer with too many digits", pos) from None
+            else:
+                if self._eof or end < len(text) - _CUT_TAIL:
+                    return value, end
+            self._more(len(text) - pos)
+
+    def _error(self, message: str, pos: int) -> JsonMalformedError:
+        return JsonMalformedError(message, offset=self._base + len(_encode(self._text[:pos])))
 
 
-def _crs_name(raw: bytes) -> str | None:
+def _crs_name(crs) -> str | None:
     """Name from a legacy crs member shaped {"properties": {"name": ...}}."""
-    try:
-        obj = json.loads(raw.decode("utf-8", "replace"))
-    except ValueError:
+    props = crs.get("properties") if isinstance(crs, dict) else None
+    name = props.get("name") if isinstance(props, dict) else None
+    if not isinstance(name, str):
         return None
-    if isinstance(obj, dict):
-        props = obj.get("properties")
-        if isinstance(props, dict) and isinstance(props.get("name"), str):
-            return props["name"]
-    return None
+    try:
+        # bytes that are not UTF-8 read as U+FFFD, not as surrogate escapes
+        return _encode(name).decode("utf-8", "replace")
+    except UnicodeEncodeError:  # an escaped surrogate such as \ud800
+        return name
 
 
 def split_geojson(blocks):

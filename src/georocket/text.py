@@ -17,9 +17,3 @@ _TOKEN_RE = re.compile(r"[^\W_]+(?:(?<=\d)[.-](?=\d)[^\W_]+)*")
 def tokenize(text: str) -> set[str]:
     """Lowercased token set of ``text``."""
     return {t.lower() for t in set(_TOKEN_RE.findall(text))}
-
-
-def iter_tokens(text: str):
-    """Tokens of ``text`` in order of appearance (lowercased, may repeat)."""
-    for m in _TOKEN_RE.finditer(text):
-        yield m.group(0).lower()

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 import re
 import xml.etree.ElementTree as ET
@@ -267,6 +268,35 @@ class TestBuildDocument:
         entry = StoredEntry(
             id="C2",
             content=b"{broken",
+            parents=GeoJsonParents(CollectionKind.FEATURE_COLLECTION),
+            metadata=ChunkMetadata(layer=parse_layer_path("/"), format=Format.GEOJSON),
+            sequence=0,
+        )
+        doc = build_document(entry)
+        assert doc.bbox is None and doc.attributes == () and doc.tokens == frozenset()
+
+    def test_integer_beyond_float_range_reads_as_infinity(self):
+        big = "9" * 401
+        content = ('{"type":"Feature","geometry":{"type":"Point","coordinates":[%s,2]},'
+                   '"properties":{"n":-%s,"m":1}}' % (big, big)).encode()
+        entry = StoredEntry(
+            id="C3",
+            content=content,
+            parents=GeoJsonParents(CollectionKind.FEATURE_COLLECTION),
+            metadata=ChunkMetadata(layer=parse_layer_path("/"), format=Format.GEOJSON),
+            sequence=0,
+        )
+        doc = build_document(entry)
+        assert doc.bbox is None  # the only position has an infinite coordinate
+        assert {a.key: a.value for a in doc.attributes} == {
+            "n": TypedValue.of_number(-math.inf), "m": TypedValue.of_number(1.0),
+        }
+        assert big in doc.tokens
+
+    def test_nesting_beyond_recursion_limit_yields_empty_projection(self):
+        entry = StoredEntry(
+            id="C4",
+            content=b'{"properties":{"a":%s}}' % (b"[" * 5000 + b"]" * 5000),
             parents=GeoJsonParents(CollectionKind.FEATURE_COLLECTION),
             metadata=ChunkMetadata(layer=parse_layer_path("/"), format=Format.GEOJSON),
             sequence=0,

@@ -12,7 +12,6 @@ from georocket.model import (
     LayerPath,
     MetadataDelta,
     TypedValue,
-    layer_is_ancestor_or_self,
     parse_layer_path,
     timestamp_key,
 )
@@ -49,13 +48,13 @@ class TestLayerPath:
             parse_layer_path("/a/../b")
 
     def test_root_includes_everything(self):
-        assert layer_is_ancestor_or_self(parse_layer_path("/"), parse_layer_path("/a/b"))
+        assert parse_layer_path("/").is_ancestor_or_self(parse_layer_path("/a/b"))
 
     def test_self_inclusion(self):
-        assert layer_is_ancestor_or_self(parse_layer_path("/a"), parse_layer_path("/a"))
+        assert parse_layer_path("/a").is_ancestor_or_self(parse_layer_path("/a"))
 
     def test_child_does_not_include_parent(self):
-        assert not layer_is_ancestor_or_self(parse_layer_path("/a/b"), parse_layer_path("/a"))
+        assert not parse_layer_path("/a/b").is_ancestor_or_self(parse_layer_path("/a"))
 
     @given(segments)
     def test_reflexive(self, segs):

@@ -1,6 +1,7 @@
 import io
 import json
 import re
+import shutil
 import socket
 import threading
 import time
@@ -11,11 +12,22 @@ import requests
 
 from georocket.indexer import build_document
 from georocket.model import MetadataDelta, parse_layer_path
-from georocket.server import GeoRocketApp, ServerConfig, TaskState, reconcile
+from georocket.server import EmbeddedServer, GeoRocketApp, ServerConfig, TaskState, reconcile
 from georocket.store import StoredEntry
 
 from conftest import wait_for_task
 from gendata import make_citygml, make_geojson
+
+
+def raw_exchange(server, request: bytes) -> tuple[bytes, bytes]:
+    """Send raw request bytes; the status code and body of the response."""
+    with socket.create_connection(server.httpd.server_address[:2], timeout=10) as sock:
+        sock.sendall(request)
+        response = b""
+        while block := sock.recv(65536):
+            response += block
+    head, _, body = response.partition(b"\r\n\r\n")
+    return head.split(b" ", 2)[1], body
 
 
 def import_and_wait(url, path_qs, data, headers=None, timeout=30.0):
@@ -102,14 +114,31 @@ class TestImport:
             b"POST /store/x HTTP/1.1\r\nHost: localhost\r\nContent-Length: " + length
             + b"\r\nConnection: close\r\n\r\n<r/>"
         )
-        with socket.create_connection(server.httpd.server_address[:2], timeout=10) as sock:
-            sock.sendall(request)
-            response = b""
-            while block := sock.recv(65536):
-                response += block
-        head, _, body = response.partition(b"\r\n\r\n")
-        assert head.split(b" ", 2)[1] == b"400", head
+        status, body = raw_exchange(server, request)
+        assert status == b"400", body
         assert json.loads(body)["error"]["code"] == "PARSE_ERROR"
+
+    @pytest.mark.parametrize("framing,status", [
+        (b"37\r\n%s\r\n0\r\n\r\n", b"202"),
+        (b"37;ext=1\r\n%s\r\n0\r\n\r\n", b"202"),
+        (b"+37\r\n%s\r\n0\r\n\r\n", b"400"),
+        (b"0x37\r\n%s\r\n0\r\n\r\n", b"400"),
+        (b"3_7\r\n%s\r\n0\r\n\r\n", b"400"),
+        (b" 37\r\n%s\r\n0\r\n\r\n", b"400"),
+        (b"-1\r\n%s\r\n0\r\n\r\n", b"400"),
+        (b"37\r\n%sXX0\r\n\r\n", b"400"),
+    ], ids=["plain", "extension", "plus-sign", "hex-prefix", "underscore", "leading-space",
+            "negative", "no-crlf-after-data"])
+    def test_chunk_framing_is_strict(self, server, framing, status):
+        doc = b'{"type":"FeatureCollection","features":[],"name":"xxx"}'  # 0x37 bytes
+        request = (
+            b"POST /store/x HTTP/1.1\r\nHost: localhost\r\nTransfer-Encoding: chunked"
+            b"\r\nConnection: close\r\n\r\n" + framing % doc
+        )
+        got, body = raw_exchange(server, request)
+        assert got == status, body
+        if status == b"400":
+            assert json.loads(body)["error"]["code"] == "PARSE_ERROR"
 
     def test_unsupported_format(self, server):
         resp = requests.post(server.url + "/store", data=b"PK\x03\x04zipzip")
@@ -527,6 +556,27 @@ class TestReconcile:
         doc = app.index.get_document(entry.id)
         assert doc.metadata.properties == {"deleted": "2018"}
         app.close()
+
+    def test_integer_beyond_float_range_survives_restart(self, tmp_path):
+        config = dict(store_backend="filesystem", store_path=str(tmp_path / "s"),
+                      index_path=str(tmp_path / "i"))
+        doc = (b'{"type":"FeatureCollection","features":[{"type":"Feature","geometry":'
+               b'{"type":"Point","coordinates":[1%s,2]},"properties":{"name":"huge"}}]}'
+               % (b"0" * 400))
+        srv = EmbeddedServer(ServerConfig(port=0, **config)).start()
+        try:
+            task = import_and_wait(srv.url, "/store/big", doc)
+        finally:
+            srv.stop()
+        assert task["state"] == "FINISHED"
+        # without its index, the next start rebuilds it from the store
+        shutil.rmtree(tmp_path / "i")
+        app = GeoRocketApp(ServerConfig(**config))
+        try:
+            (chunk_id,) = app.index.all_ids()
+            assert "huge" in app.index.get_document(chunk_id).tokens
+        finally:
+            app.close()
 
     def test_clean_state_reports_zero(self, tmp_path):
         app = GeoRocketApp(ServerConfig(store_backend="filesystem",
