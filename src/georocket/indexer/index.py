@@ -25,7 +25,6 @@ from ..model import (
     MetadataDelta,
     ROOT_LAYER,
     TypedValue,
-    parse_layer_path,
     timestamp_key,
 )
 from ..query.ast import (
@@ -56,7 +55,8 @@ class ChunkIndex:
         # key -> id -> values (one chunk may carry several values per key)
         self._attr_entries: dict[str, dict[str, list[TypedValue]]] = {}
         self._prop_entries: dict[str, dict[str, TypedValue]] = {}
-        self._layer_ids: dict[str, set[str]] = {}
+        self._layer_ids: dict[LayerPath, set[str]] = {}
+        self._order: dict[str, tuple] = {}  # id -> order_key(); metadata never changes it
         self._ts_entries: list[tuple[tuple, str]] = []  # (timestamp key, id)
         self._ts_sorted = True
         self._spatial = SpatialIndex()
@@ -99,8 +99,8 @@ class ChunkIndex:
             if self._log is None:
                 return
             snapshot = [
-                {"op": "add", "doc": doc.to_record()}
-                for doc in sorted(self._docs.values(), key=IndexDocument.order_key)
+                {"op": "add", "doc": self._docs[cid].to_record()}
+                for cid in sorted(self._docs, key=self._order.__getitem__)
             ]
             self._log.compact(snapshot)
             self._ops_since_compact = 0
@@ -168,7 +168,8 @@ class ChunkIndex:
             self._attr_entries.setdefault(attr.key, {}).setdefault(cid, []).append(attr.value)
         for key, raw in doc.metadata.properties.items():
             self._prop_entries.setdefault(key, {})[cid] = TypedValue.from_text(raw)
-        self._postings(self._layer_ids, str(doc.metadata.layer)).add(cid)
+        self._postings(self._layer_ids, doc.metadata.layer).add(cid)
+        self._order[cid] = doc.order_key()
         self._ts_entries.append((timestamp_key(doc.metadata.import_timestamp), cid))
         self._ts_sorted = False
         if doc.bbox is not None:
@@ -213,7 +214,8 @@ class ChunkIndex:
                     del self._attr_entries[key]
         for key in doc.metadata.properties:
             self._prop_entries.get(key, {}).pop(chunk_id, None)
-        self._discard(self._layer_ids, str(doc.metadata.layer), chunk_id)
+        self._discard(self._layer_ids, doc.metadata.layer, chunk_id)
+        del self._order[chunk_id]
         self._spatial.remove(chunk_id)
         # _ts_entries keeps a dead pair until the next sort; filtered on query
 
@@ -237,14 +239,15 @@ class ChunkIndex:
         Ordered by (import timestamp, sequence, id) ascending.
         """
         with self._lock:
-            matched = self._eval(ast)
-            if not layer.is_root:
-                allowed: set[str] = set()
-                for layer_text, ids in self._layer_ids.items():
-                    if layer.is_ancestor_or_self(parse_layer_path(layer_text)):
-                        allowed |= ids
-                matched &= allowed
-            return sorted(matched, key=lambda i: self._docs[i].order_key())
+            if layer.is_root:
+                matched = self._docs if isinstance(ast, MatchAll) else self._eval(ast)
+            else:
+                allowed = set().union(*(
+                    ids for path, ids in self._layer_ids.items()
+                    if layer.is_ancestor_or_self(path)
+                ))
+                matched = allowed if isinstance(ast, MatchAll) else self._eval(ast) & allowed
+            return sorted(matched, key=self._order.__getitem__)
 
     def _eval(self, node: QueryNode) -> set[str]:
         if isinstance(node, MatchAll):

@@ -11,9 +11,16 @@ Endpoints::
     GET    /tasks/{id}                           import task status
 
 Request bodies may be Content-Length or chunked, optionally gzip-encoded.
-Search responses stream with chunked transfer encoding; a mid-stream
-failure aborts the connection without the terminal chunk so clients cannot
-mistake a truncated document for a complete one. Errors are JSON
+A request whose declared body the handler did not read in full (any body
+sent to GET, PUT or DELETE, or an upload refused with 503) is answered with
+``Connection: close``, so the unread bytes are never parsed as a request.
+
+Connections are kept alive. Responses pass through one 64 KiB write buffer
+that is flushed once per request, so a response under 64 KiB (status line,
+headers and body) leaves in one send. Search responses stream with chunked
+transfer encoding in frames of at least 64 KiB; a mid-stream failure aborts
+the connection without the terminal chunk so clients cannot mistake a
+truncated document for a complete one. Errors are JSON
 ``{"error": {"code", "message", "offset"?}}``. When all request slots are
 busy the server answers 503 instead of queueing unboundedly.
 """
@@ -46,6 +53,9 @@ logger = logging.getLogger(__name__)
 
 # chunk-size [ chunk-ext ] CRLF (RFC 9112, section 7.1)
 _CHUNK_SIZE_LINE = re.compile(rb"([0-9A-Fa-f]+)(?:[ \t]*;[^\r\n]*)?\r\n")
+
+# responses are buffered up to this size, and export frames are at least as large
+_WRITE_BUFFER = 1 << 16
 
 _STATUS_BY_CODE = {
     "PARSE_ERROR": 400,
@@ -85,6 +95,9 @@ def parse_tag_list(raw: str) -> list[str]:
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     server_version = f"georocket/{__version__}"
+    # handle_one_request flushes wfile after each request
+    wbufsize = _WRITE_BUFFER
+    _body_unread = False  # a declared request body not yet read to its end
 
     @property
     def app(self) -> GeoRocketApp:
@@ -94,6 +107,25 @@ class _Handler(BaseHTTPRequestHandler):
         logger.debug("%s %s", self.address_string(), fmt % args)
 
     # --- plumbing -----------------------------------------------------------
+
+    def parse_request(self) -> bool:
+        ok = super().parse_request()
+        self._body_unread = ok and (
+            "Transfer-Encoding" in self.headers
+            or self.headers.get("Content-Length", "").strip() not in ("", "0")
+        )
+        return ok
+
+    def handle_expect_100(self) -> bool:
+        super().handle_expect_100()
+        self.wfile.flush()  # the client waits for it before sending the body
+        return True
+
+    def send_response(self, code, message=None) -> None:
+        super().send_response(code, message)
+        if self._body_unread:
+            # unread body bytes must not be parsed as the next request
+            self.send_header("Connection", "close")
 
     def _send_json(self, status: int, payload: dict) -> None:
         body = json.dumps(payload).encode("utf-8")
@@ -177,6 +209,7 @@ class _Handler(BaseHTTPRequestHandler):
                 break
             remaining -= len(block)
             yield block
+        self._body_unread = False
 
     def _chunked_blocks(self):
         while True:
@@ -190,6 +223,7 @@ class _Handler(BaseHTTPRequestHandler):
                     trailer = self.rfile.readline(1024)
                     if trailer in (b"\r\n", b"\n", b""):
                         break
+                self._body_unread = False
                 return
             remaining = size
             while remaining > 0:
@@ -236,10 +270,16 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_header("Transfer-Encoding", "chunked")
         self.end_headers()
         try:
+            parts: list[bytes] = []
+            size = 0
             for piece in stream:
-                if piece:
-                    self.wfile.write(b"%x\r\n%s\r\n" % (len(piece), piece))
-            self.wfile.write(b"0\r\n\r\n")
+                parts.append(piece)
+                size += len(piece)
+                if size >= _WRITE_BUFFER:
+                    self.wfile.write(_frame(parts, size, b"\r\n"))
+                    parts, size = [], 0
+            last = b"0\r\n\r\n"
+            self.wfile.write(_frame(parts, size, b"\r\n" + last) if size else last)
         except Exception:
             # abort without the terminal chunk: the client sees a truncated
             # transfer instead of a silently incomplete document
@@ -320,6 +360,11 @@ class _Handler(BaseHTTPRequestHandler):
             self._send_error_payload(e)
         except Exception as e:
             self._send_internal_error(e)
+
+
+def _frame(parts: list[bytes], size: int, tail: bytes) -> bytes:
+    """One chunked-coding frame of ``parts`` (``size`` bytes), then ``tail``."""
+    return b"".join([b"%x\r\n" % size, *parts, tail])
 
 
 def _gunzip(blocks):

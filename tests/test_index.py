@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -9,10 +10,11 @@ from georocket.model import (
     ChunkMetadata,
     Format,
     MetadataDelta,
+    ROOT_LAYER,
     TypedValue,
     parse_layer_path,
 )
-from georocket.query import evaluate_oracle, parse_query
+from georocket.query import MatchAll, evaluate_oracle, parse_query
 
 from gendata import random_document, random_query
 
@@ -33,6 +35,15 @@ def make_doc(i, layer="/", tags=(), properties=None, tokens=("alpha",), ts=15000
         ),
         sequence=i,
     )
+
+
+def oracle_ids(docs, ast, layer=ROOT_LAYER):
+    """Ids the oracle accepts in the layer subtree, in (timestamp, sequence, id) order."""
+    return [
+        d.chunk_id
+        for d in sorted(docs, key=IndexDocument.order_key)
+        if evaluate_oracle(ast, d) and layer.is_ancestor_or_self(d.metadata.layer)
+    ]
 
 
 class TestAddAndQuery:
@@ -269,12 +280,33 @@ class TestPersistence:
     def test_query_after_reopen_equals_oracle(self, tmp_path):
         rng = random.Random(17)
         docs = [random_document(rng, i) for i in range(120)]
+        # ties on the import timestamp, so the sequence and then the id decide
+        shared = docs[0].metadata.import_timestamp
+        for i in range(100, 120):
+            docs[i] = replace(docs[i], sequence=(119 - i) // 2, metadata=replace(
+                docs[i].metadata, import_timestamp=shared))
         index = ChunkIndex(tmp_path / "idx", compact_after_ops=50)
         index.add_documents(docs)
+        by_id = {d.chunk_id: d for d in docs}
+        # updates and deletes after the compaction are replayed from the log
+        for step in range(20):
+            victim = rng.choice(sorted(by_id))
+            if step % 3 == 0:
+                index.delete([victim])
+                del by_id[victim]
+            else:
+                delta = MetadataDelta(set_properties={"deleted": f"2017-0{step % 9 + 1}-15"},
+                                      add_tags=frozenset({"touched"}))
+                index.update_metadata([victim], delta)
+                by_id[victim] = by_id[victim].with_metadata(by_id[victim].metadata.with_delta(delta))
+        queries = [MatchAll()] + [random_query(rng) for _ in range(40)]
+        layers = [parse_layer_path(p) for p in ("/", "/a", "/b/x", "/b/x/y", "/none")]
+        cases = [(ast, layer) for ast in queries for layer in layers]
+        live = [index.query(ast, layer) for ast, layer in cases]
         index.close()
         reopened = ChunkIndex(tmp_path / "idx")
-        for _ in range(40):
-            ast = random_query(rng)
-            expected = {d.chunk_id for d in docs if evaluate_oracle(ast, d)}
-            assert set(reopened.query(ast)) == expected
+        for (ast, layer), got in zip(cases, live):
+            expected = oracle_ids(by_id.values(), ast, layer)
+            assert got == expected, f"{ast} in {layer}"
+            assert reopened.query(ast, layer) == expected, f"{ast} in {layer} after reopen"
         reopened.close()

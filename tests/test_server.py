@@ -1,5 +1,7 @@
+import http.client
 import io
 import json
+import math
 import re
 import shutil
 import socket
@@ -19,15 +21,41 @@ from conftest import wait_for_task
 from gendata import make_citygml, make_geojson
 
 
-def raw_exchange(server, request: bytes) -> tuple[bytes, bytes]:
-    """Send raw request bytes; the status code and body of the response."""
-    with socket.create_connection(server.httpd.server_address[:2], timeout=10) as sock:
+def raw_until_eof(server, request: bytes, timeout: float = 3.0) -> tuple[bytes, bool]:
+    """Send raw request bytes; all bytes received, and whether the server closed."""
+    with socket.create_connection(server.httpd.server_address[:2], timeout=timeout) as sock:
         sock.sendall(request)
         response = b""
-        while block := sock.recv(65536):
-            response += block
+        try:
+            while block := sock.recv(65536):
+                response += block
+        except socket.timeout:
+            return response, False
+    return response, True
+
+
+def raw_exchange(server, request: bytes) -> tuple[bytes, bytes]:
+    """Send raw request bytes; the status code and body of the response."""
+    response, closed = raw_until_eof(server, request, timeout=10)
+    assert closed, response
     head, _, body = response.partition(b"\r\n\r\n")
     return head.split(b" ", 2)[1], body
+
+
+def decode_chunked(response: bytes) -> tuple[list[int], bytes, bool]:
+    """Chunk sizes, joined data, and whether the terminal chunk arrived."""
+    _, _, rest = response.partition(b"\r\n\r\n")
+    sizes, data, pos = [], b"", 0
+    while (end := rest.find(b"\r\n", pos)) >= 0:
+        size = int(rest[pos:end], 16)
+        sizes.append(size)
+        if size == 0:
+            return sizes, data, True
+        if rest[end + 2 + size : end + 4 + size] != b"\r\n":
+            break  # cut inside the chunk
+        data += rest[end + 2 : end + 2 + size]
+        pos = end + 4 + size
+    return sizes, data, False
 
 
 def import_and_wait(url, path_qs, data, headers=None, timeout=30.0):
@@ -236,6 +264,139 @@ class TestSearch:
                 assert False, f"stream completed with {len(body)} bytes"
         finally:
             server.app.store.get = original_get
+
+    def test_export_leaves_in_frames_of_at_least_64_kib(self, server):
+        import_and_wait(server.url, "/store/big", make_geojson(1300))
+        expected = requests.get(server.url + "/store/big?format=geojson").content
+        assert len(expected) >= 300_000
+        response, closed = raw_until_eof(
+            server, b"GET /store/big?format=geojson HTTP/1.1\r\nHost: x\r\n"
+                    b"Connection: close\r\n\r\n")
+        assert closed
+        sizes, body, complete = decode_chunked(response)
+        assert complete and body == expected
+        assert len(sizes) <= math.ceil(len(body) / 65536) + 1, sizes
+
+    def test_failure_after_first_frame_truncates_transfer(self, server):
+        import_and_wait(server.url, "/store", make_geojson(600))
+        full = requests.get(server.url + "/store?format=geojson").content
+        original_get = server.app.store.get
+        calls = []
+
+        def failing_get(chunk_id):
+            calls.append(chunk_id)
+            # 600 reads in the parents pre-pass, then 400 features (~100 KB)
+            if len(calls) > 1000:
+                raise OSError("disk gone")
+            return original_get(chunk_id)
+
+        server.app.store.get = failing_get
+        try:
+            response, closed = raw_until_eof(
+                server, b"GET /store?format=geojson HTTP/1.1\r\nHost: x\r\n\r\n")
+        finally:
+            server.app.store.get = original_get
+        assert response.startswith(b"HTTP/1.1 200 ")
+        sizes, body, complete = decode_chunked(response)
+        assert closed and not complete
+        assert sizes and sizes[0] >= 65536 and 0 not in sizes
+        assert full.startswith(body)
+
+
+class TestConnections:
+    SMUGGLED = b"GET / HTTP/1.1\r\nHost: x\r\n\r\n"
+
+    def test_unread_body_of_delete_is_not_run_as_a_request(self, server):
+        response, closed = raw_until_eof(
+            server, b"DELETE /store/?search=nothing HTTP/1.1\r\nHost: x\r\n"
+                    b"Content-Length: %d\r\n\r\n%s" % (len(self.SMUGGLED), self.SMUGGLED))
+        assert re.findall(rb"HTTP/1\.1 \d{3}", response) == [b"HTTP/1.1 200"], response
+        assert response.endswith(b'{"deleted": 0}')
+        assert closed
+
+    def test_unread_body_of_refused_upload_is_not_run_as_a_request(self, server_factory):
+        srv = server_factory(max_concurrent_requests=1)
+        release = threading.Event()
+        started = threading.Event()
+
+        def slow_body():
+            yield b"<r>"
+            started.set()
+            release.wait(10)
+            yield b"</r>"
+
+        uploader = threading.Thread(
+            target=lambda: requests.post(srv.url + "/store/slow", data=slow_body())
+        )
+        uploader.start()
+        try:
+            assert started.wait(5)
+            response, closed = raw_until_eof(
+                srv, b"POST /store/x HTTP/1.1\r\nHost: x\r\nContent-Length: %d\r\n\r\n%s"
+                     % (len(self.SMUGGLED), self.SMUGGLED))
+        finally:
+            release.set()
+            uploader.join(10)
+        assert not uploader.is_alive()
+        assert re.findall(rb"HTTP/1\.1 \d{3}", response) == [b"HTTP/1.1 503"], response
+        assert closed
+
+    def test_100_continue_arrives_before_the_body(self, server):
+        body = make_geojson(3)
+        with socket.create_connection(server.httpd.server_address[:2], timeout=2) as sock:
+            sock.sendall(b"POST /store/expect HTTP/1.1\r\nHost: x\r\nContent-Length: %d\r\n"
+                         b"Expect: 100-continue\r\nConnection: close\r\n\r\n" % len(body))
+            interim = b""
+            while b"\r\n\r\n" not in interim:
+                block = sock.recv(65536)
+                assert block, interim
+                interim += block
+            assert interim == b"HTTP/1.1 100 Continue\r\n\r\n"
+            sock.sendall(body)
+            response = b""
+            while block := sock.recv(65536):
+                response += block
+        assert response.startswith(b"HTTP/1.1 202 ")
+
+    def test_mixed_requests_on_one_kept_alive_connection(self, server):
+        conn = http.client.HTTPConnection(*server.httpd.server_address[:2], timeout=10)
+
+        def exchange(method, path, body=None):
+            conn.request(method, path, body=body)
+            resp = conn.getresponse()
+            payload = resp.read()
+            assert not resp.will_close, (method, path)
+            return resp.status, payload
+
+        try:
+            status, payload = exchange("POST", "/store/ka", make_geojson(300))
+            assert status == 202
+            sock = conn.sock
+            task_id = json.loads(payload)["taskId"]
+            while json.loads(exchange("GET", f"/tasks/{task_id}")[1])["state"] != "FINISHED":
+                time.sleep(0.02)
+            for i in range(30):
+                kind = i % 4
+                if kind == 0:
+                    status, payload = exchange("GET", "/")
+                    assert json.loads(payload)["chunks"] == 300
+                elif kind == 1:
+                    status, payload = exchange("PUT", f"/store/ka?search=&properties=round:r{i}")
+                    assert json.loads(payload) == {"updated": 300}
+                elif kind == 2:
+                    status, payload = exchange(
+                        "GET", f"/store/ka?search=EQ(round%20r{i - 1})&format=geojson")
+                    features = json.loads(payload)["features"]
+                    assert [f["properties"]["name"] for f in features] == [
+                        f"building {n}" for n in range(300)]
+                else:
+                    status, payload = exchange("GET", f"/tasks/{task_id}")
+                    task = json.loads(payload)
+                    assert (task["state"], task["chunksIndexed"]) == ("FINISHED", 300)
+                assert status == 200
+            assert conn.sock is sock
+        finally:
+            conn.close()
 
 
 class TestDelete:
