@@ -11,7 +11,7 @@ import calendar
 import math
 import re
 from dataclasses import dataclass, field, replace
-from datetime import datetime, timedelta, timezone
+from datetime import MAXYEAR, MINYEAR, datetime, timedelta, timezone
 from enum import Enum
 
 from .errors import MalformedPathError
@@ -279,6 +279,16 @@ def timestamp_key(ms: int) -> tuple:
     sec, rem = divmod(ms, 1000)
     dt = datetime.fromtimestamp(sec, tz=_UTC)
     return (dt.year, dt.month, dt.day, dt.hour, dt.minute, dt.second, rem * 1000)
+
+
+def epoch_ms_from_key(key: tuple) -> float:
+    """The least epoch millisecond whose ``timestamp_key`` is not below ``key``."""
+    if key[0] < MINYEAR:
+        return -math.inf
+    if key[0] > MAXYEAR:
+        return math.inf
+    micros = calendar.timegm(key[:6]) * 1_000_000 + key[6]
+    return -(-micros // 1000)
 
 
 _NUMBER_RE = re.compile(r"^[+-]?(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?$")

@@ -20,7 +20,7 @@ import queue
 import threading
 import time
 
-from ..errors import NotFoundError, ParseError
+from ..errors import NotFoundError, ParseError, UnknownIdError
 from ..indexer import ChunkIndex, build_document
 from ..merger import merge
 from ..model import ChunkMetadata, Format, LayerPath, MetadataDelta
@@ -153,20 +153,23 @@ class GeoRocketApp:
         if delta.is_empty():
             raise ParseError("metadata update requires at least one change")
         ids = self.index.query(parse_query(query_text), layer)
-        updated = []
-        changed = 0
+        changed: dict[str, bool] = {}
         for chunk_id in ids:
             doc = self.index.get_document(chunk_id)
             try:
                 self.store.update_metadata(chunk_id, delta)
             except NotFoundError:
                 continue  # deleted while updating
-            updated.append(chunk_id)
-            if doc is not None and doc.metadata.with_delta(delta) != doc.metadata:
-                changed += 1
-        if updated:
-            self.index.update_metadata(updated, delta)
-        return changed
+            changed[chunk_id] = doc is not None and doc.metadata.with_delta(delta) != doc.metadata
+        updated = list(changed)
+        while updated:
+            try:
+                self.index.update_metadata(updated, delta)
+                break
+            except UnknownIdError:
+                # a concurrent delete took some of them out of the index
+                updated = [i for i in updated if self.index.get_document(i) is not None]
+        return sum(changed[i] for i in updated)
 
     def task(self, task_id: str) -> ImportTask | None:
         return self.tasks.get(task_id)

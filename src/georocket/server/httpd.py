@@ -97,6 +97,11 @@ class _Handler(BaseHTTPRequestHandler):
     server_version = f"georocket/{__version__}"
     # handle_one_request flushes wfile after each request
     wbufsize = _WRITE_BUFFER
+    # seconds a read or a write may wait; an idle kept-alive connection or
+    # a stalled upload is then closed and its thread freed, and so is a
+    # client that stops reading a response, which then ends without its
+    # terminal chunk
+    timeout = 60
     _body_unread = False  # a declared request body not yet read to its end
 
     @property

@@ -1,13 +1,20 @@
+import math
 import random
+import tempfile
+from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from georocket.errors import DuplicateIdError, StorageError, UnknownIdError
 from georocket.indexer import ChunkIndex, IndexDocument, IndexedAttribute
+from georocket.indexer.columns import _FEW, SortedEntries
 from georocket.model import (
     BoundingBox,
     ChunkMetadata,
+    DateValue,
     Format,
     MetadataDelta,
     ROOT_LAYER,
@@ -15,6 +22,7 @@ from georocket.model import (
     parse_layer_path,
 )
 from georocket.query import MatchAll, evaluate_oracle, parse_query
+from georocket.query.ast import Comparison, CompareOp, DateTerm, Logical, LogicalOp
 
 from gendata import random_document, random_query
 
@@ -174,6 +182,14 @@ class TestDelete:
         for q in ("T", "tok", "EQ(p v)", "0,0,2,2", ""):
             assert index.query(parse_query(q)) == []
 
+    def test_readded_id_loses_its_old_import_date(self):
+        index = ChunkIndex()
+        index.add_documents([make_doc(1, ts=1514764800000)])  # 2018-01-01
+        index.delete(["C0001"])
+        index.add_documents([make_doc(1, ts=1530000000000)])  # 2018-06-26
+        assert index.query(parse_query("2018-01")) == []
+        assert index.query(parse_query("2018-06")) == ["C0001"]
+
 
 class TestOracleEquivalence:
     def test_mini_corpus(self):
@@ -219,6 +235,191 @@ class TestOracleEquivalence:
             got = set(index.query(ast))
             expected = {d.chunk_id for d in by_id.values() if evaluate_oracle(ast, d)}
             assert got == expected
+
+
+@st.composite
+def _date_texts(draw):
+    """ISO dates at every granularity; times with fraction digits and zone offsets."""
+    text = f"{draw(st.integers(2016, 2019)):04d}"
+    granularity = draw(st.integers(0, 3))
+    if granularity >= 1:
+        text += f"-{draw(st.integers(1, 12)):02d}"
+    if granularity >= 2:
+        text += f"-{draw(st.integers(1, 28)):02d}"
+    if granularity == 3:
+        text += "T%02d:%02d:%02d" % (draw(st.integers(0, 23)), draw(st.sampled_from([0, 30, 59])),
+                                     draw(st.sampled_from([0, 59])))
+        text += draw(st.sampled_from(["", ".5", ".25", ".999999"]))
+        text += draw(st.sampled_from(["", "Z", "+01:00", "-01:30", "+23:59"]))
+    return text
+
+
+# raw property texts, typed by TypedValue.from_text as dates, then numbers, then
+# text; few enough that stored and queried values often meet at a boundary
+_RAW_TEXTS = st.one_of(
+    st.sampled_from(["berlin", "Berlin", "BERLIN", "İ", "i̇", "ß", "SS", "ss", ""]),
+    st.sampled_from(["0", "-0", "2.5", "10", "1e3"]),
+    st.sampled_from(["2017", "2018", "2018-01", "2018-06", "2017-12-31", "2018-01-01",
+                     "2017-12-31T23:59:59Z", "2018-01-01T00:00:00.5Z",
+                     "2018-01-01T00:30:00+01:00", "2018-06-15T12:00:00.25-01:30"]),
+    _date_texts(),
+)
+_TYPED_VALUES = st.one_of(
+    _RAW_TEXTS.map(TypedValue.from_text),
+    _RAW_TEXTS.map(lambda raw: TypedValue.from_text(raw, numbers=False)),  # GeoJSON strings
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 2.5, -1e308]).map(
+        TypedValue.of_number),
+)
+_KEYS = st.sampled_from(["k", "m"])
+# import timestamps at and around the turn of 2018 (UTC)
+_TIMESTAMPS = st.sampled_from([1514764799999, 1514764800000, 1514768400500, 1530000000000])
+_DOC_SPECS = st.tuples(
+    st.lists(st.tuples(_KEYS, _TYPED_VALUES), max_size=3),  # attributes
+    st.dictionaries(_KEYS, _RAW_TEXTS, max_size=2),  # properties
+    _TIMESTAMPS,
+)
+_STEPS = st.lists(st.tuples(
+    st.sampled_from(["set", "remove", "delete", "re-add", "reopen"]),
+    st.integers(0, 5), _KEYS, _RAW_TEXTS, _DOC_SPECS,
+), max_size=6)
+_QUERIES = st.lists(st.one_of(
+    st.builds(Comparison, st.sampled_from(list(CompareOp)), _KEYS, _TYPED_VALUES),
+    st.builds(lambda c: Logical(LogicalOp.NOT, (c,)),
+              st.builds(Comparison, st.sampled_from(list(CompareOp)), _KEYS, _TYPED_VALUES)),
+    st.builds(DateTerm, _date_texts().map(DateValue.parse)),
+), min_size=1, max_size=8)
+
+
+class TestComparisonColumns:
+    """Comparison results equal the oracle's through updates, deletes and replay."""
+
+    @staticmethod
+    def _doc(i, spec):
+        attributes, properties, ts = spec
+        return make_doc(i, properties=properties, ts=ts,
+                        attributes=[IndexedAttribute(k, v) for k, v in attributes])
+
+    @settings(max_examples=100, deadline=None)
+    @example(  # NaN against numbers; date intervals that touch without overlapping
+        specs=[([("k", TypedValue.of_number(math.nan))], {"k": "2017"}, 1514764800000),
+               ([("k", TypedValue.of_number(10.0))], {}, 1514764800000)],
+        steps=[("delete", 0, "k", "", ([], {}, 0)),
+               ("re-add", 0, "k", "", ([("k", TypedValue.of_number(math.nan))], {}, 0))],
+        queries=[Comparison(op, "k", value) for op in CompareOp for value in (
+            TypedValue.of_number(2.5), TypedValue.of_number(math.nan),
+            TypedValue.from_text("2018"), TypedValue.from_text("2016-12-31T23:59:59.5Z"))],
+    )
+    @example(  # case folding; a value held as attribute and property; an id re-added
+        specs=[([("k", TypedValue.of_text("İ"))], {"k": "İ"}, 1514764800000),
+               ([("k", TypedValue.of_number(-0.0))], {"k": "0"}, 1514764800000)],
+        steps=[("remove", 0, "k", "", ([], {}, 0)), ("set", 1, "k", "BERLIN", ([], {}, 0)),
+               ("re-add", 0, "k", "",
+                ([("m", TypedValue.of_text("ß"))], {"k": "2018"}, 1530000000000)),
+               ("reopen", 0, "k", "", ([], {}, 0))],
+        queries=[Comparison(op, key, value)
+                 for op in CompareOp for key in ("k", "m") for value in (
+                     TypedValue.of_text("i̇"), TypedValue.of_text("berlin"),
+                     TypedValue.of_text("SS"), TypedValue.of_number(0.0),
+                     TypedValue.from_text("2018-06"))],
+    )
+    @given(specs=st.lists(_DOC_SPECS, min_size=1, max_size=6), steps=_STEPS, queries=_QUERIES)
+    def test_equal_to_oracle(self, specs, steps, queries):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "idx"
+            index = ChunkIndex(path, fsync=False)
+            model = {}
+            docs = [self._doc(i, spec) for i, spec in enumerate(specs)]
+            index.add_documents(docs)
+            model.update((d.chunk_id, d) for d in docs)
+
+            def check(step):
+                for ast in queries:
+                    assert index.query(ast) == oracle_ids(model.values(), ast), (step, ast)
+
+            check("added")
+            for step in steps:
+                action, i, key, raw, spec = step
+                cid = f"C{i:04d}"
+                if action == "reopen":
+                    index.close()
+                    index = ChunkIndex(path, fsync=False)
+                elif action == "re-add":
+                    index.delete([cid])
+                    model.pop(cid, None)
+                    index.add_documents([self._doc(i, spec)])
+                    model[cid] = self._doc(i, spec)
+                elif cid not in model:
+                    continue
+                elif action == "delete":
+                    index.delete([cid])
+                    del model[cid]
+                else:
+                    delta = (MetadataDelta(set_properties={key: raw}) if action == "set"
+                             else MetadataDelta(remove_properties=frozenset({key})))
+                    index.update_metadata([cid], delta)
+                    model[cid] = model[cid].with_metadata(model[cid].metadata.with_delta(delta))
+                check(step)
+            index.close()
+
+    def test_removing_a_property_keeps_an_equal_attribute(self):
+        index = ChunkIndex()
+        attr = IndexedAttribute("k", TypedValue.from_text("2.5"))
+        index.add_documents([make_doc(1, attributes=[attr], properties={"k": "2.5"})])
+        index.update_metadata(["C0001"], MetadataDelta(remove_properties=frozenset({"k"})))
+        assert index.query(parse_query("EQ(k 2.5)")) == ["C0001"]
+
+    def test_many_chunks_lose_a_property_in_one_update(self):
+        index = ChunkIndex()
+        # the first five hold each value twice, as an attribute and as a property;
+        # half of 1 200 chunks are more than are removed by binary search
+        index.add_documents([
+            make_doc(i, properties={"k": str(i % 3)},
+                     attributes=[IndexedAttribute("k", TypedValue.of_number(i % 3))] * (i < 5))
+            for i in range(1200)
+        ])
+        index.update_metadata([f"C{i:04d}" for i in range(0, 1200, 2)],
+                              MetadataDelta(remove_properties=frozenset({"k"})))
+        for v in range(3):
+            expected = [f"C{i:04d}" for i in range(1200) if i % 3 == v and (i % 2 or i < 5)]
+            assert index.query(parse_query(f"EQ(k {v})")) == expected
+
+    def test_many_chunks_deleted_at_once_leave_the_others(self):
+        index = ChunkIndex()
+        # the deleted chunks hold "k" only as a property; two others hold it twice
+        index.add_documents([
+            make_doc(i, properties={"k": str(i % 3)}, ts=1500000000000 + i,
+                     attributes=[IndexedAttribute("k", TypedValue.of_number(i % 3))]
+                     * (i in (1, 3)))
+            for i in range(1200)
+        ])
+        index.delete([f"C{i:04d}" for i in range(0, 1200, 2)])
+        index.add_documents([make_doc(0, properties={"k": "1"})])
+        for v in range(3):
+            survivors = [f"C{i:04d}" for i in range(1, 1200, 2) if i % 3 == v]
+            expected = ["C0000"] * (v == 1) + survivors
+            assert index.query(parse_query(f"EQ(k {v})")) == expected
+        expected = ["C0000"] + [f"C{i:04d}" for i in range(1, 1200, 2)]
+        assert index.query(parse_query("2017-07-14")) == expected  # the import date
+
+
+class TestSortedEntries:
+    @pytest.mark.parametrize("count", [3, _FEW + 1], ids=["binary search", "one pass"])
+    def test_remove_takes_one_occurrence_of_each(self, count):
+        rng = random.Random(count)
+        held = [(rng.randrange(50), f"C{rng.randrange(400):04d}") for _ in range(2000)]
+        entries = SortedEntries()
+        for entry in held:
+            entries.add(entry)
+        gone = rng.sample(held, count)
+        entries.remove(gone)
+        assert entries.items() == sorted((Counter(held) - Counter(gone)).elements())
+
+    @pytest.mark.parametrize("count", [3, _FEW + 1], ids=["binary search", "one pass"])
+    def test_remove_of_an_entry_not_held_raises(self, count):
+        entries = SortedEntries()
+        entries.add((1, "C0001"))
+        with pytest.raises(KeyError):
+            entries.remove([(1, "C0001")] + [(2, "C0002")] * count)
 
 
 class TestPersistence:
@@ -299,7 +500,14 @@ class TestPersistence:
                                       add_tags=frozenset({"touched"}))
                 index.update_metadata([victim], delta)
                 by_id[victim] = by_id[victim].with_metadata(by_id[victim].metadata.with_delta(delta))
-        queries = [MatchAll()] + [random_query(rng) for _ in range(40)]
+        queries = [MatchAll()] + [random_query(rng) for _ in range(40)] + [
+            Comparison(op, key, value)
+            for op in CompareOp
+            for key, value in (("height", TypedValue.of_number(10.0)),
+                               ("name", TypedValue.of_text("Berlin")),
+                               ("deleted", TypedValue.from_text("2017-05")),
+                               ("year", TypedValue.from_text("2018-03-01T12:00:00Z")))
+        ]
         layers = [parse_layer_path(p) for p in ("/", "/a", "/b/x", "/b/x/y", "/none")]
         cases = [(ast, layer) for ast in queries for layer in layers]
         live = [index.query(ast, layer) for ast, layer in cases]

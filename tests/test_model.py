@@ -1,3 +1,4 @@
+import math
 import threading
 
 import pytest
@@ -12,6 +13,7 @@ from georocket.model import (
     LayerPath,
     MetadataDelta,
     TypedValue,
+    epoch_ms_from_key,
     parse_layer_path,
     timestamp_key,
 )
@@ -135,6 +137,15 @@ class TestDateValue:
         # 2018-02-13T00:00:00Z
         assert timestamp_key(1518480000000) == (2018, 2, 13, 0, 0, 0, 0)
         assert timestamp_key(1518480000123)[-1] == 123000
+
+    @given(st.integers(-62_135_596_800_000, 253_402_300_799_999))
+    def test_epoch_ms_from_key_inverts_timestamp_key(self, ms):
+        assert epoch_ms_from_key(timestamp_key(ms)) == ms
+
+    def test_epoch_ms_from_key_rounds_up_to_the_next_millisecond(self):
+        assert epoch_ms_from_key((2018, 2, 13, 0, 0, 0, 1)) == 1518480000001
+        assert epoch_ms_from_key((0, 1, 1, 0, 0, 0, 0)) == -math.inf
+        assert epoch_ms_from_key((10000, 1, 1, 0, 0, 0, 0)) == math.inf
 
 
 class TestBoundingBox:

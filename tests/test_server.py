@@ -14,7 +14,9 @@ import requests
 
 from georocket.indexer import build_document
 from georocket.model import MetadataDelta, parse_layer_path
+from georocket.query import parse_query
 from georocket.server import EmbeddedServer, GeoRocketApp, ServerConfig, TaskState, reconcile
+from georocket.server.httpd import _Handler
 from georocket.store import StoredEntry
 
 from conftest import wait_for_task
@@ -399,6 +401,44 @@ class TestConnections:
             conn.close()
 
 
+    def test_idle_connections_are_closed_after_the_read_timeout(self, server, monkeypatch):
+        assert _Handler.timeout == 60
+        monkeypatch.setattr(_Handler, "timeout", 0.5)
+        baseline = threading.active_count()
+        address = server.httpd.server_address[:2]
+        with socket.create_connection(address, timeout=3) as idle, \
+                socket.create_connection(address, timeout=3) as kept:
+            kept.sendall(b"GET / HTTP/1.1\r\nHost: x\r\n\r\n")
+            assert kept.recv(65536).startswith(b"HTTP/1.1 200 ")
+            started = time.monotonic()
+            assert idle.recv(1) == b""  # EOF, not socket.timeout
+            assert kept.recv(1) == b""
+            assert time.monotonic() - started < 3
+        deadline = time.monotonic() + 3
+        while threading.active_count() > baseline and time.monotonic() < deadline:
+            time.sleep(0.02)
+        assert threading.active_count() == baseline
+
+    def test_stalled_upload_is_closed_and_rolled_back(self, server, monkeypatch):
+        monkeypatch.setattr(_Handler, "timeout", 0.5)
+        app = server.app
+        stored = []
+        put = app.store.put
+        monkeypatch.setattr(app.store, "put", lambda entry: (stored.append(entry.id), put(entry)))
+        body = make_geojson(500)  # over 64 KiB: the first block is read and split in full
+        with socket.create_connection(server.httpd.server_address[:2], timeout=3) as sock:
+            sock.sendall(b"POST /store/stall HTTP/1.1\r\nHost: x\r\nContent-Length: %d\r\n\r\n%s"
+                         % (len(body), body[:80000]))
+            while sock.recv(65536):  # socket.timeout here fails the test
+                pass
+        assert stored
+        deadline = time.monotonic() + 5
+        while (set(app.store.scan()) or len(app.index)) and time.monotonic() < deadline:
+            time.sleep(0.02)
+        assert not set(stored) & set(app.store.scan())
+        assert len(app.index) == 0
+
+
 class TestDelete:
     def test_guard_refuses_empty_search(self, server):
         import_and_wait(server.url, "/store", make_geojson(2))
@@ -467,6 +507,23 @@ class TestMetadata:
         import_and_wait(server.url, "/store", make_geojson(2))
         resp = requests.delete(server.url + "/store?search=&tags=nobody-has-this")
         assert resp.json() == {"updated": 0}
+
+    def test_update_racing_a_delete_reaches_the_index(self, server, monkeypatch):
+        import_and_wait(server.url, "/store/race", make_geojson(3))
+        app = server.app
+        layer = parse_layer_path("/race")
+        first, *rest = app.index.query(parse_query(""), layer)
+        update = app.store.update_metadata
+
+        def racing_update(chunk_id, delta):
+            update(chunk_id, delta)
+            if chunk_id == first:
+                app.index.delete([first])  # the index step of a concurrent DELETE
+
+        monkeypatch.setattr(app.store, "update_metadata", racing_update)
+        assert app.update_metadata(layer, "", MetadataDelta(set_properties={"k": "v"})) == 2
+        assert app.index.query(parse_query("EQ(k v)")) == rest
+        assert [app.store.get(i).metadata.properties for i in rest] == [{"k": "v"}] * 2
 
     def test_set_twice_last_write_wins(self, server):
         import_and_wait(server.url, "/store", make_geojson(1))
