@@ -66,6 +66,12 @@ class JsonMalformedError(GeoRocketError):
     code = "JSON_MALFORMED"
 
 
+class RequestTimeoutError(GeoRocketError):
+    """A request body stopped arriving before it was read to its end."""
+
+    code = "REQUEST_TIMEOUT"
+
+
 class DuplicateIdError(GeoRocketError):
     """A chunk id was stored or indexed twice."""
 

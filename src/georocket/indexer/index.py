@@ -13,8 +13,12 @@ granularity, and a NaN value satisfies only LTE and GTE. Date terms are
 answered the same way from the import timestamps, sorted.
 
 Durability: every committed batch is appended to a segment log and replayed
-on open; the log compacts itself periodically. The store remains the source
-of truth, so a lost index can always be rebuilt from stored chunks.
+on open; the log compacts itself periodically. Each document's add record is
+encoded once, when it is committed; an index with a log keeps that line (or
+the line replay read) until an update or a delete drops it, and compaction
+copies the kept lines, encoding again only documents updated since. That
+costs about one log line of memory per document. The store remains the
+source of truth, so a lost index can always be rebuilt from stored chunks.
 
 Concurrency: one writer at a time; all public methods take the instance
 lock, so readers only ever observe fully committed batches.
@@ -45,7 +49,7 @@ from ..query.ast import (
 from ..text import tokenize
 from .columns import _FEW, SortedEntries, TypedColumns
 from .documents import IndexDocument
-from .segments import SegmentLog
+from .segments import SegmentLog, encode
 from .spatial import SpatialIndex
 
 
@@ -58,10 +62,11 @@ class ChunkIndex:
         self._tag_ids: dict[str, set[str]] = {}
         self._prop_tokens: dict[str, set[str]] = {}
         self._columns = TypedColumns()
-        self._layer_ids: dict[LayerPath, set[str]] = {}
+        self._layer_ids: dict[tuple, set[str]] = {}  # keyed by LayerPath.segments
         self._order: dict[str, tuple] = {}  # id -> order_key(); metadata never changes it
         self._timestamps = SortedEntries()  # the order keys, (import timestamp, sequence, id)
         self._spatial = SpatialIndex()
+        self._lines: dict[str, str] = {}  # id -> its encoded add line, filled only with a log
         self._ops_since_compact = 0
         self._compact_after_ops = compact_after_ops
         self._log = SegmentLog(path, fsync=fsync) if path is not None else None
@@ -71,20 +76,23 @@ class ChunkIndex:
     # --- persistence ------------------------------------------------------
 
     def _replay(self) -> None:
-        for op in self._log.replay():
+        for op, line in self._log.replay():
             kind = op["op"]
             if kind == "add":
-                self._apply_add(IndexDocument.from_record(op["doc"]))
+                doc = IndexDocument.from_record(op["doc"])
+                self._apply_add(doc)
+                self._lines[doc.chunk_id] = line
             elif kind == "update":
                 delta = MetadataDelta.from_record(op["delta"])
                 self._apply_metadata([i for i in op["ids"] if i in self._docs], delta)
             elif kind == "delete":
                 self._apply_delete(op["ids"])
 
-    def _commit(self, ops) -> None:
-        if self._log is not None:
-            self._log.append(ops)
-            self._ops_since_compact += len(ops)
+    def _commit(self, ops) -> list[str]:
+        lines = [encode(op) for op in ops]
+        self._log.append(lines)
+        self._ops_since_compact += len(lines)
+        return lines
 
     def _maybe_compact(self) -> None:
         # only after the committed batch is fully applied: the snapshot is
@@ -97,11 +105,11 @@ class ChunkIndex:
         with self._lock:
             if self._log is None:
                 return
-            snapshot = [
-                {"op": "add", "doc": self._docs[cid].to_record()}
-                for cid in sorted(self._docs, key=self._order.__getitem__)
-            ]
-            self._log.compact(snapshot)
+            lines = self._lines
+            for cid in self._docs.keys() - lines.keys():  # updated since their line was kept
+                lines[cid] = encode({"op": "add", "doc": self._docs[cid].to_record()})
+            # the order keys end in the id
+            self._log.compact([lines[key[-1]] for key in self._timestamps.items()])
             self._ops_since_compact = 0
 
     def close(self) -> None:
@@ -121,7 +129,9 @@ class ChunkIndex:
             seen = {d.chunk_id for d in docs}
             if len(seen) != len(docs):
                 raise DuplicateIdError("duplicate chunk id within one batch")
-            self._commit([{"op": "add", "doc": d.to_record()} for d in docs])
+            if self._log is not None:
+                lines = self._commit([{"op": "add", "doc": d.to_record()} for d in docs])
+                self._lines.update(zip([d.chunk_id for d in docs], lines))
             for doc in docs:
                 self._apply_add(doc)
             self._maybe_compact()
@@ -134,7 +144,8 @@ class ChunkIndex:
             missing = [i for i in ids if i not in self._docs]
             if missing:
                 raise UnknownIdError(f"cannot update unknown chunk {missing[0]}")
-            self._commit([{"op": "update", "ids": ids, "delta": delta.to_record()}])
+            if self._log is not None:
+                self._commit([{"op": "update", "ids": ids, "delta": delta.to_record()}])
             self._apply_metadata(ids, delta)
             self._maybe_compact()
             return len(ids)
@@ -145,7 +156,8 @@ class ChunkIndex:
         with self._lock:
             present = [i for i in ids if i in self._docs]
             if present:
-                self._commit([{"op": "delete", "ids": present}])
+                if self._log is not None:
+                    self._commit([{"op": "delete", "ids": present}])
                 self._apply_delete(present)
                 self._maybe_compact()
             return len(present)
@@ -159,13 +171,14 @@ class ChunkIndex:
             self._postings(self._content_tokens, token).add(cid)
         for tag in doc.metadata.tags:
             self._postings(self._tag_ids, tag.lower()).add(cid)
-        for token in _property_tokens(doc.metadata.properties):
-            self._postings(self._prop_tokens, token).add(cid)
+        if doc.metadata.properties:
+            for token in _property_tokens(doc.metadata.properties):
+                self._postings(self._prop_tokens, token).add(cid)
         for attr in doc.attributes:
             self._columns.add(attr.key, attr.value, cid)
         for key, raw in doc.metadata.properties.items():
             self._columns.add(key, TypedValue.from_text(raw), cid)
-        self._postings(self._layer_ids, doc.metadata.layer).add(cid)
+        self._postings(self._layer_ids, doc.metadata.layer.segments).add(cid)
         self._order[cid] = order = doc.order_key()
         self._timestamps.add(order)
         if doc.bbox is not None:
@@ -177,6 +190,7 @@ class ChunkIndex:
         # so a delta over many chunks costs one pass per column
         gone, added = [], []
         for chunk_id in ids:
+            self._lines.pop(chunk_id, None)
             doc = self._docs[chunk_id]
             old_meta = doc.metadata
             new_meta = old_meta.with_delta(delta)
@@ -202,12 +216,14 @@ class ChunkIndex:
 
     def _apply_delete(self, ids) -> None:
         docs = []
+        by_layer: dict[tuple, list[str]] = {}
         content = self._content_tokens
         for chunk_id in ids:
             doc = self._docs.pop(chunk_id, None)
             if doc is None:
                 continue
             docs.append(doc)
+            self._lines.pop(chunk_id, None)
             for token in doc.tokens:  # inline: a call per (token, chunk) is a third of a delete
                 postings = content[token]
                 postings.discard(chunk_id)
@@ -215,10 +231,16 @@ class ChunkIndex:
                     del content[token]
             for tag in doc.metadata.tags:
                 self._discard(self._tag_ids, tag.lower(), chunk_id)
-            for token in _property_tokens(doc.metadata.properties):
-                self._discard(self._prop_tokens, token, chunk_id)
-            self._discard(self._layer_ids, doc.metadata.layer, chunk_id)
+            if doc.metadata.properties:
+                for token in _property_tokens(doc.metadata.properties):
+                    self._discard(self._prop_tokens, token, chunk_id)
+            by_layer.setdefault(doc.metadata.layer.segments, []).append(chunk_id)
             self._spatial.remove(chunk_id)
+        for segments, gone in by_layer.items():
+            layer_ids = self._layer_ids[segments]
+            layer_ids.difference_update(gone)
+            if not layer_ids:
+                del self._layer_ids[segments]
         if len(docs) > _FEW:
             # a deleted chunk takes every entry it holds, so where remove()
             # would make one counting pass, a pass by id does, without
@@ -260,9 +282,9 @@ class ChunkIndex:
             if layer.is_root:
                 matched = self._docs if isinstance(ast, MatchAll) else self._eval(ast)
             else:
+                prefix, n = layer.segments, len(layer.segments)
                 allowed = set().union(*(
-                    ids for path, ids in self._layer_ids.items()
-                    if layer.is_ancestor_or_self(path)
+                    ids for path, ids in self._layer_ids.items() if path[:n] == prefix
                 ))
                 matched = allowed if isinstance(ast, MatchAll) else self._eval(ast) & allowed
             return sorted(matched, key=self._order.__getitem__)

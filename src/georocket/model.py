@@ -408,7 +408,7 @@ class ChunkMetadata:
             "tags": sorted(self.tags),
             "props": dict(self.properties),
             "ts": self.import_timestamp,
-            "format": self.format.value,
+            "format": self.format._value_,  # not .value: its descriptor costs a call per record
         }
         if self.crs is not None:
             rec["crs"] = self.crs

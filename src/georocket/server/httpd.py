@@ -42,6 +42,7 @@ from ..errors import (
     MalformedPathError,
     NotFoundError,
     ParseError,
+    RequestTimeoutError,
     UnsupportedEncodingError,
 )
 from ..merger import content_type
@@ -70,6 +71,7 @@ _STATUS_BY_CODE = {
     "DUPLICATE_ID": 409,
     "INCOMPATIBLE_PARENTS": 409,
     "UNKNOWN_ID": 404,
+    "REQUEST_TIMEOUT": 408,
     "IO_ERROR": 500,
     "INTERNAL": 500,
 }
@@ -200,6 +202,7 @@ class _Handler(BaseHTTPRequestHandler):
             if not (length.isascii() and length.isdigit()):
                 raise ParseError(f"malformed Content-Length {length!r}")
             raw = self._sized_blocks(int(length))
+        raw = _timeout_as_error(raw, self.timeout)
         if encoding in ("", "identity"):
             return raw
         if encoding == "gzip":
@@ -370,6 +373,14 @@ class _Handler(BaseHTTPRequestHandler):
 def _frame(parts: list[bytes], size: int, tail: bytes) -> bytes:
     """One chunked-coding frame of ``parts`` (``size`` bytes), then ``tail``."""
     return b"".join([b"%x\r\n" % size, *parts, tail])
+
+
+def _timeout_as_error(blocks, seconds):
+    """Pass ``blocks`` through; a read that times out becomes a 408 error."""
+    try:
+        yield from blocks
+    except TimeoutError as e:
+        raise RequestTimeoutError(f"request body stalled for {seconds} s") from e
 
 
 def _gunzip(blocks):

@@ -1,5 +1,8 @@
+import json
 import math
+import os
 import random
+import stat
 import tempfile
 from collections import Counter
 from dataclasses import replace
@@ -11,6 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 from georocket.errors import DuplicateIdError, StorageError, UnknownIdError
 from georocket.indexer import ChunkIndex, IndexDocument, IndexedAttribute
 from georocket.indexer.columns import _FEW, SortedEntries
+from georocket.indexer.segments import SEGMENT_MAGIC, SegmentLog, encode
 from georocket.model import (
     BoundingBox,
     ChunkMetadata,
@@ -471,6 +475,39 @@ class TestPersistence:
         assert len(reopened) == 5
         reopened.close()
 
+    def test_append_after_a_torn_tail_survives_the_next_restart(self, tmp_path):
+        docs = self._docs()
+        index = ChunkIndex(tmp_path / "idx")
+        index.add_documents(docs[:5])
+        index.close()
+        segment = sorted((tmp_path / "idx" / "segments").glob("*.seg"))[-1]
+        with open(segment, "ab") as f:
+            f.write(b'{"op":"add","doc":{"id":"trunc')  # crash mid-append
+        reopened = ChunkIndex(tmp_path / "idx")
+        assert len(reopened) == 5
+        reopened.add_documents(docs[5:10])
+        assert len(reopened) == 10
+        reopened.close()
+        again = ChunkIndex(tmp_path / "idx")
+        assert set(again.all_ids()) == {d.chunk_id for d in docs[:10]}
+        again.close()
+
+    def test_a_record_without_its_newline_is_a_torn_tail(self, tmp_path):
+        docs = self._docs()
+        index = ChunkIndex(tmp_path / "idx")
+        index.add_documents(docs[:3])
+        index.close()
+        segment = sorted((tmp_path / "idx" / "segments").glob("*.seg"))[-1]
+        with open(segment, "a") as f:  # complete JSON, cut before its newline
+            f.write(encode({"op": "add", "doc": docs[3].to_record()})[:-1])
+        reopened = ChunkIndex(tmp_path / "idx")
+        assert len(reopened) == 3
+        reopened.add_documents([docs[4]])
+        reopened.close()
+        again = ChunkIndex(tmp_path / "idx")
+        assert set(again.all_ids()) == {d.chunk_id for d in docs[:3]} | {docs[4].chunk_id}
+        again.close()
+
     def test_unrecognised_manifest_fails_fast(self, tmp_path):
         index = ChunkIndex(tmp_path / "idx")
         index.close()
@@ -518,3 +555,177 @@ class TestPersistence:
             assert got == expected, f"{ast} in {layer}"
             assert reopened.query(ast, layer) == expected, f"{ast} in {layer} after reopen"
         reopened.close()
+
+
+def _identity(path) -> tuple:
+    st = os.stat(path)
+    return st.st_dev, st.st_ino
+
+
+class TestSegmentLog:
+    @pytest.fixture
+    def synced_dirs(self, monkeypatch):
+        """(device, inode) of every directory passed to os.fsync, in order."""
+        synced = []
+        fsync = os.fsync
+
+        def recording(fd):
+            st = os.fstat(fd)
+            if stat.S_ISDIR(st.st_mode):
+                synced.append((st.st_dev, st.st_ino))
+            fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", recording)
+        return synced
+
+    def test_new_segments_and_manifest_swaps_sync_their_directory(self, tmp_path, synced_dirs):
+        root = tmp_path / "idx"
+        log = SegmentLog(root, max_segment_bytes=1)
+        assert synced_dirs == [_identity(root)]  # the first manifest
+        line = encode({"op": "delete", "ids": ["C0001"]})
+        synced_dirs.clear()
+        log.append([line])  # creates the first segment, and rolls past the size
+        segments = _identity(root / "segments")
+        assert synced_dirs == [segments, _identity(root)] * 2
+        synced_dirs.clear()
+        log.compact([line])
+        assert synced_dirs == [segments, _identity(root)]
+        log.close()
+
+    def test_no_directory_sync_without_fsync(self, tmp_path, synced_dirs):
+        log = SegmentLog(tmp_path / "idx", max_segment_bytes=1, fsync=False)
+        log.append([encode({"op": "delete", "ids": ["C0001"]})])
+        log.compact([])
+        log.close()
+        assert synced_dirs == []
+
+    def test_replay_yields_each_record_with_its_line(self, tmp_path):
+        log = SegmentLog(tmp_path / "idx")
+        ops = [{"op": "delete", "ids": [f"C{i:04d}"]} for i in range(3)]
+        log.append([encode(op) for op in ops[:2]])
+        log.append([encode(ops[2])])
+        assert list(log.replay()) == [(op, encode(op)) for op in ops]
+        log.close()
+
+
+class TestKeptLines:
+    """Compaction copies the line each live document was committed or replayed with."""
+
+    def _docs(self, n=60, seed=23):
+        rng = random.Random(seed)
+        return sorted((random_document(rng, i) for i in range(n)), key=IndexDocument.order_key)
+
+    @staticmethod
+    def _segment_lines(root) -> list[str]:
+        (segment,) = (root / "segments").glob("*.seg")
+        lines = segment.read_text(encoding="utf-8").splitlines(keepends=True)
+        assert lines[0] == SEGMENT_MAGIC + "\n"
+        return lines[1:]
+
+    @staticmethod
+    def _documents(index) -> dict:
+        return {i: index.get_document(i) for i in index.all_ids()}
+
+    def test_log_with_the_original_encoding_replays_and_compacts(self, tmp_path):
+        docs = self._docs()
+        delta = MetadataDelta(set_properties={"deleted": "2017-06-30"}, add_tags=frozenset({"X"}))
+        ops = [{"op": "add", "doc": d.to_record()} for d in docs]
+        ops.append({"op": "update", "ids": [docs[3].chunk_id], "delta": delta.to_record()})
+        ops.append({"op": "delete", "ids": [docs[4].chunk_id]})
+        root = tmp_path / "idx"
+        (root / "segments").mkdir(parents=True)
+        (root / "manifest").write_text(
+            "georocket-index-manifest 1\n" + json.dumps({"segments": ["00000000.seg"]}) + "\n")
+        (root / "segments" / "00000000.seg").write_text(
+            SEGMENT_MAGIC + "\n" + "".join(json.dumps(op, separators=(",", ":")) + "\n"
+                                          for op in ops))
+        expected = ChunkIndex()
+        expected.add_documents(docs)
+        expected.update_metadata([docs[3].chunk_id], delta)
+        expected.delete([docs[4].chunk_id])
+
+        index = ChunkIndex(root)
+        assert self._documents(index) == self._documents(expected)
+        index.compact()
+        index.close()
+        reopened = ChunkIndex(root)
+        assert self._documents(reopened) == self._documents(expected)
+        assert reopened.query(MatchAll()) == expected.query(MatchAll())
+        reopened.close()
+
+    @pytest.mark.parametrize("reopen_before_compact", [False, True])
+    def test_update_then_compact_writes_the_updated_metadata(self, tmp_path, reopen_before_compact):
+        docs = self._docs()
+        index = ChunkIndex(tmp_path / "idx")
+        index.add_documents(docs)
+        index.compact()
+        delta = MetadataDelta(set_properties={"status": "demolished"}, add_tags=frozenset({"T"}))
+        index.update_metadata([docs[0].chunk_id, docs[7].chunk_id], delta)
+        if reopen_before_compact:
+            index.close()
+            index = ChunkIndex(tmp_path / "idx")
+        index.compact()
+        index.close()
+        reopened = ChunkIndex(tmp_path / "idx")
+        for doc in (docs[0], docs[7]):
+            metadata = reopened.get_document(doc.chunk_id).metadata
+            assert metadata == doc.metadata.with_delta(delta)
+        assert reopened.query(parse_query("EQ(status demolished)")) == [
+            docs[0].chunk_id, docs[7].chunk_id]
+        reopened.close()
+
+    def test_compaction_after_replay_copies_the_replayed_lines(self, tmp_path, monkeypatch):
+        docs = self._docs()
+        index = ChunkIndex(tmp_path / "idx")
+        for start in range(0, len(docs), 16):
+            index.add_documents(docs[start:start + 16])
+        index.close()
+        committed = self._segment_lines(tmp_path / "idx")
+
+        def no_encoding(doc):
+            raise AssertionError("a replayed document was encoded again")
+
+        reopened = ChunkIndex(tmp_path / "idx")
+        monkeypatch.setattr(IndexDocument, "to_record", no_encoding)
+        reopened.compact()
+        reopened.close()
+        assert self._segment_lines(tmp_path / "idx") == committed
+
+    def test_every_compacted_record_is_its_live_document(self, tmp_path):
+        rng = random.Random(31)
+        docs = self._docs(120, seed=31)
+        index = ChunkIndex(tmp_path / "idx", compact_after_ops=25)
+        for start in range(0, 80, 20):
+            index.add_documents(docs[start:start + 20])
+        for step in range(30):
+            ids = rng.sample(index.all_ids(), 3)
+            if step % 4 == 0:
+                index.delete(ids[:1])
+            else:
+                index.update_metadata(ids, MetadataDelta(
+                    set_properties={"step": str(step)},
+                    remove_properties=frozenset({rng.choice(["height", "name", "deleted"])}),
+                    add_tags=frozenset({f"s{step % 3}"})))
+            if step == 15:
+                index.close()
+                index = ChunkIndex(tmp_path / "idx", compact_after_ops=25)
+                index.add_documents(docs[80:])
+        index.compact()
+        live = [index.get_document(i) for i in index.query(MatchAll())]
+        index.close()
+        records = [json.loads(line) for line in self._segment_lines(tmp_path / "idx")]
+        assert records == [{"op": "add", "doc": doc.to_record()} for doc in live]
+
+    def test_an_index_without_a_log_encodes_nothing(self, monkeypatch):
+        def no_encoding(*args):
+            raise AssertionError("an index without a log encoded a record")
+
+        monkeypatch.setattr(IndexDocument, "to_record", no_encoding)
+        monkeypatch.setattr(MetadataDelta, "to_record", no_encoding)
+        docs = self._docs(10)
+        index = ChunkIndex()
+        index.add_documents(docs)
+        index.update_metadata([docs[0].chunk_id], MetadataDelta(add_tags=frozenset({"X"})))
+        index.delete([docs[1].chunk_id])
+        index.compact()
+        assert len(index) == 9

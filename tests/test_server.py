@@ -1,6 +1,7 @@
 import http.client
 import io
 import json
+import logging
 import math
 import re
 import shutil
@@ -419,24 +420,27 @@ class TestConnections:
             time.sleep(0.02)
         assert threading.active_count() == baseline
 
-    def test_stalled_upload_is_closed_and_rolled_back(self, server, monkeypatch):
+    def test_stalled_upload_is_closed_and_rolled_back(self, server, monkeypatch, caplog):
         monkeypatch.setattr(_Handler, "timeout", 0.5)
         app = server.app
         stored = []
         put = app.store.put
         monkeypatch.setattr(app.store, "put", lambda entry: (stored.append(entry.id), put(entry)))
         body = make_geojson(500)  # over 64 KiB: the first block is read and split in full
+        response = b""
         with socket.create_connection(server.httpd.server_address[:2], timeout=3) as sock:
             sock.sendall(b"POST /store/stall HTTP/1.1\r\nHost: x\r\nContent-Length: %d\r\n\r\n%s"
                          % (len(body), body[:80000]))
-            while sock.recv(65536):  # socket.timeout here fails the test
-                pass
+            while block := sock.recv(65536):  # socket.timeout here fails the test
+                response += block
+        assert response.startswith(b"HTTP/1.1 408 ")
         assert stored
         deadline = time.monotonic() + 5
         while (set(app.store.scan()) or len(app.index)) and time.monotonic() < deadline:
             time.sleep(0.02)
         assert not set(stored) & set(app.store.scan())
         assert len(app.index) == 0
+        assert not [r for r in caplog.records if r.levelno >= logging.ERROR]
 
 
 class TestDelete:
