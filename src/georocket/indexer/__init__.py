@@ -1,7 +1,7 @@
 """Asynchronous chunk indexing: extraction, spatial tree, embedded index."""
 
 from .documents import IndexDocument, IndexedAttribute
-from .extract import build_document, extract_attributes, extract_bbox, extract_tokens
+from .extract import build_document
 from .index import ChunkIndex
 from .spatial import SpatialIndex, StrTree
 
@@ -9,9 +9,6 @@ __all__ = [
     "IndexDocument",
     "IndexedAttribute",
     "build_document",
-    "extract_attributes",
-    "extract_bbox",
-    "extract_tokens",
     "ChunkIndex",
     "SpatialIndex",
     "StrTree",

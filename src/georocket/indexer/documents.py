@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, replace
 
-from ..model import BoundingBox, ChunkMetadata, TypedValue
+from ..model import BoundingBox, ChunkMetadata, TypedValue, parse_layer_path
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IndexedAttribute:
     """A key-value pair extracted from chunk content during indexing.
 
@@ -19,21 +20,27 @@ class IndexedAttribute:
     value: TypedValue
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IndexDocument:
     """Everything the index knows about one chunk.
 
     The metadata snapshot is the only part that changes after indexing
     (tags and properties); bbox, attributes, and tokens are derived from
-    the immutable chunk content.
+    the immutable chunk content. ``tokens`` is a sorted tuple of distinct
+    tokens, a sixth of a frozenset's size for a feature's ten; a tuple given
+    for it must already be so, and any other collection is sorted into one.
     """
 
     chunk_id: str
     bbox: BoundingBox | None
     attributes: tuple[IndexedAttribute, ...]
-    tokens: frozenset[str]
+    tokens: tuple[str, ...]
     metadata: ChunkMetadata
     sequence: int = 0
+
+    def __post_init__(self):
+        if type(self.tokens) is not tuple:
+            object.__setattr__(self, "tokens", tuple(sorted(set(self.tokens))))
 
     def with_metadata(self, metadata: ChunkMetadata) -> "IndexDocument":
         return replace(self, metadata=metadata)
@@ -49,22 +56,23 @@ class IndexDocument:
             if self.bbox
             else None,
             "attrs": [[a.key, a.value.to_record()] for a in self.attributes],
-            "tokens": sorted(self.tokens),
+            "tokens": list(self.tokens),
             "seq": self.sequence,
             "meta": self.metadata.to_record(),
         }
         return rec
 
     @classmethod
-    def from_record(cls, rec: dict) -> "IndexDocument":
+    def from_record(cls, rec: dict, parse_layer=parse_layer_path) -> "IndexDocument":
+        """Decode ``to_record`` output; ``parse_layer`` as in ``ChunkMetadata.from_record``."""
         bbox = BoundingBox(*rec["bbox"]) if rec.get("bbox") else None
         return cls(
             chunk_id=rec["id"],
             bbox=bbox,
             attributes=tuple(
-                IndexedAttribute(k, TypedValue.from_record(v)) for k, v in rec["attrs"]
+                IndexedAttribute(sys.intern(k), TypedValue.from_record(v)) for k, v in rec["attrs"]
             ),
-            tokens=frozenset(rec["tokens"]),
-            metadata=ChunkMetadata.from_record(rec["meta"]),
+            tokens=tuple(rec["tokens"]),  # written sorted and distinct
+            metadata=ChunkMetadata.from_record(rec["meta"], parse_layer),
             sequence=int(rec.get("seq", 0)),
         )

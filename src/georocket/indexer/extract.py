@@ -12,26 +12,12 @@ import html
 import json
 import math
 import re
+import sys
 from xml.parsers import expat
 
 from ..model import BoundingBox, Format, TypedValue
 from ..text import tokenize
 from .documents import IndexDocument, IndexedAttribute
-
-
-def extract_bbox(chunk) -> BoundingBox | None:
-    """Bounding box of a chunk's geometry, or None if it has no coordinates."""
-    return _extract(chunk.parents.format, chunk.content)[0]
-
-
-def extract_attributes(chunk) -> list[IndexedAttribute]:
-    """Key-value pairs found in the chunk content itself."""
-    return _extract(chunk.parents.format, chunk.content)[1]
-
-
-def extract_tokens(chunk) -> set[str]:
-    """Lowercased full-text tokens of all textual content."""
-    return _extract(chunk.parents.format, chunk.content)[2]
 
 
 def build_document(entry) -> IndexDocument:
@@ -41,7 +27,7 @@ def build_document(entry) -> IndexDocument:
         chunk_id=entry.id,
         bbox=bbox,
         attributes=tuple(attributes),
-        tokens=frozenset(tokens),
+        tokens=tuple(sorted(tokens)),
         metadata=entry.metadata,
         sequence=entry.sequence,
     )
@@ -93,7 +79,7 @@ def _xml_extract(content: bytes):
                     except ValueError:
                         pass
                 elif short == "name" and name.endswith("Attribute"):
-                    attr_key = value
+                    attr_key = sys.intern(value)
                 texts.append(value)
                 texts.append(" ")
         frames.append((name, dim, attr_key))
@@ -240,7 +226,7 @@ def _flatten_properties(prefix: str, obj: dict, attributes: list) -> None:
     kept as their compact JSON text.
     """
     for key, value in obj.items():
-        full = f"{prefix}.{key}" if prefix else str(key)
+        full = sys.intern(f"{prefix}.{key}" if prefix else key)
         if isinstance(value, dict):
             _flatten_properties(full, value, attributes)
         elif isinstance(value, bool):

@@ -12,6 +12,16 @@ operators compare code points, dates compare as intervals at their
 granularity, and a NaN value satisfies only LTE and GTE. Date terms are
 answered the same way from the import timestamps, sorted.
 
+Memory: a posting held by one chunk (most content tokens of a feature:
+its coordinates, its name) is the bare id string, and a set is made only
+when a second chunk posts the token; the set turns back into the bare id
+when it drops to one chunk. ``_post``, ``_unpost`` and ``_posted`` are the
+only ways in, except the content-token loops of an add and a delete, which
+are inline. Documents keep their tokens as one sorted tuple, and the
+document, metadata and value dataclasses use slots. Together with the kept log line, a 243-byte GeoJSON
+feature costs about 3.7-3.8 KB of index (tracemalloc, 10 000 and 40 000
+features, log on), linear in the number of documents.
+
 Durability: every committed batch is appended to a segment log and replayed
 on open; the log compacts itself periodically. Each document's add record is
 encoded once, when it is committed; an index with a log keeps that line (or
@@ -26,6 +36,7 @@ lock, so readers only ever observe fully committed batches.
 
 from __future__ import annotations
 
+import functools
 import threading
 
 from ..errors import DuplicateIdError, UnknownIdError
@@ -35,6 +46,7 @@ from ..model import (
     ROOT_LAYER,
     TypedValue,
     epoch_ms_from_key,
+    parse_layer_path,
 )
 from ..query.ast import (
     BBoxTerm,
@@ -58,9 +70,10 @@ class ChunkIndex:
         """Open (or create) an index; ``path=None`` keeps it in memory only."""
         self._lock = threading.RLock()
         self._docs: dict[str, IndexDocument] = {}
-        self._content_tokens: dict[str, set[str]] = {}
-        self._tag_ids: dict[str, set[str]] = {}
-        self._prop_tokens: dict[str, set[str]] = {}
+        # postings: token -> the one chunk id holding it, or a set of two or more
+        self._content_tokens: dict[str, str | set[str]] = {}
+        self._tag_ids: dict[str, str | set[str]] = {}
+        self._prop_tokens: dict[str, str | set[str]] = {}
         self._columns = TypedColumns()
         self._layer_ids: dict[tuple, set[str]] = {}  # keyed by LayerPath.segments
         self._order: dict[str, tuple] = {}  # id -> order_key(); metadata never changes it
@@ -76,10 +89,11 @@ class ChunkIndex:
     # --- persistence ------------------------------------------------------
 
     def _replay(self) -> None:
+        parse_layer = functools.cache(parse_layer_path)  # one path per layer, shared
         for op, line in self._log.replay():
             kind = op["op"]
             if kind == "add":
-                doc = IndexDocument.from_record(op["doc"])
+                doc = IndexDocument.from_record(op["doc"], parse_layer)
                 self._apply_add(doc)
                 self._lines[doc.chunk_id] = line
             elif kind == "update":
@@ -167,18 +181,25 @@ class ChunkIndex:
             raise DuplicateIdError(f"chunk {doc.chunk_id} is already indexed")
         cid = doc.chunk_id
         self._docs[cid] = doc
-        for token in doc.tokens:
-            self._postings(self._content_tokens, token).add(cid)
+        content = self._content_tokens
+        for token in doc.tokens:  # inline, as in _apply_delete; the tokens are distinct
+            held = content.get(token)
+            if held is None:
+                content[token] = cid
+            elif type(held) is str:
+                content[token] = {held, cid}
+            else:
+                held.add(cid)
         for tag in doc.metadata.tags:
-            self._postings(self._tag_ids, tag.lower()).add(cid)
+            _post(self._tag_ids, tag.lower(), cid)
         if doc.metadata.properties:
             for token in _property_tokens(doc.metadata.properties):
-                self._postings(self._prop_tokens, token).add(cid)
+                _post(self._prop_tokens, token, cid)
         for attr in doc.attributes:
             self._columns.add(attr.key, attr.value, cid)
         for key, raw in doc.metadata.properties.items():
             self._columns.add(key, TypedValue.from_text(raw), cid)
-        self._postings(self._layer_ids, doc.metadata.layer.segments).add(cid)
+        self._layer_ids.setdefault(doc.metadata.layer.segments, set()).add(cid)
         self._order[cid] = order = doc.order_key()
         self._timestamps.add(order)
         if doc.bbox is not None:
@@ -194,16 +215,19 @@ class ChunkIndex:
             doc = self._docs[chunk_id]
             old_meta = doc.metadata
             new_meta = old_meta.with_delta(delta)
-            for tag in old_meta.tags - new_meta.tags:
-                self._discard(self._tag_ids, tag.lower(), chunk_id)
-            for tag in new_meta.tags - old_meta.tags:
-                self._postings(self._tag_ids, tag.lower()).add(chunk_id)
+            # by lowered tag: dropping "Berlin" keeps a remaining "berlin" posted
+            old_tags = {tag.lower() for tag in old_meta.tags}
+            new_tags = {tag.lower() for tag in new_meta.tags}
+            for tag in old_tags - new_tags:
+                _unpost(self._tag_ids, tag, chunk_id)
+            for tag in new_tags - old_tags:
+                _post(self._tag_ids, tag, chunk_id)
             old_tokens = _property_tokens(old_meta.properties)
             new_tokens = _property_tokens(new_meta.properties)
             for token in old_tokens - new_tokens:
-                self._discard(self._prop_tokens, token, chunk_id)
+                _unpost(self._prop_tokens, token, chunk_id)
             for token in new_tokens - old_tokens:
-                self._postings(self._prop_tokens, token).add(chunk_id)
+                _post(self._prop_tokens, token, chunk_id)
             old_props, new_props = old_meta.properties, new_meta.properties
             gone.extend((key, TypedValue.from_text(raw), chunk_id)
                         for key, raw in old_props.items() if new_props.get(key) != raw)
@@ -225,15 +249,18 @@ class ChunkIndex:
             docs.append(doc)
             self._lines.pop(chunk_id, None)
             for token in doc.tokens:  # inline: a call per (token, chunk) is a third of a delete
-                postings = content[token]
-                postings.discard(chunk_id)
-                if not postings:
+                held = content[token]
+                if type(held) is str:
                     del content[token]
+                else:
+                    held.discard(chunk_id)
+                    if len(held) == 1:
+                        content[token] = held.pop()
             for tag in doc.metadata.tags:
-                self._discard(self._tag_ids, tag.lower(), chunk_id)
+                _unpost(self._tag_ids, tag.lower(), chunk_id)
             if doc.metadata.properties:
                 for token in _property_tokens(doc.metadata.properties):
-                    self._discard(self._prop_tokens, token, chunk_id)
+                    _unpost(self._prop_tokens, token, chunk_id)
             by_layer.setdefault(doc.metadata.layer.segments, []).append(chunk_id)
             self._spatial.remove(chunk_id)
         for segments, gone in by_layer.items():
@@ -259,18 +286,6 @@ class ChunkIndex:
                    for doc in docs for key, raw in doc.metadata.properties.items()])
             self._timestamps.remove([self._order.pop(doc.chunk_id) for doc in docs])
 
-    @staticmethod
-    def _postings(table: dict, key) -> set:
-        return table.setdefault(key, set())
-
-    @staticmethod
-    def _discard(table: dict, key, chunk_id) -> None:
-        ids = table.get(key)
-        if ids is not None:
-            ids.discard(chunk_id)
-            if not ids:
-                del table[key]
-
     # --- queries ------------------------------------------------------------
 
     def query(self, ast: QueryNode, layer: LayerPath = ROOT_LAYER) -> list[str]:
@@ -295,9 +310,9 @@ class ChunkIndex:
         if isinstance(node, TextTerm):
             token = node.token.lower()
             return (
-                set(self._content_tokens.get(token, ()))
-                | set(self._tag_ids.get(token, ()))
-                | set(self._prop_tokens.get(token, ()))
+                _posted(self._content_tokens, token)
+                | _posted(self._tag_ids, token)
+                | _posted(self._prop_tokens, token)
             )
         if isinstance(node, BBoxTerm):
             b = node.bbox
@@ -349,3 +364,37 @@ def _property_tokens(properties: dict) -> set[str]:
     for value in properties.values():
         tokens |= tokenize(value)
     return tokens
+
+
+def _post(table: dict, key: str, chunk_id: str) -> None:
+    """Add ``chunk_id`` to the postings of ``key``."""
+    held = table.get(key)
+    if held is None:
+        table[key] = chunk_id
+    elif type(held) is str:
+        if held != chunk_id:
+            table[key] = {held, chunk_id}
+    else:
+        held.add(chunk_id)
+
+
+def _unpost(table: dict, key: str, chunk_id: str) -> None:
+    """Remove ``chunk_id`` from the postings of ``key``, if it is there."""
+    held = table.get(key)
+    if held is None:
+        return
+    if type(held) is str:
+        if held == chunk_id:
+            del table[key]
+    else:
+        held.discard(chunk_id)
+        if len(held) == 1:
+            table[key] = held.pop()
+
+
+def _posted(table: dict, key: str) -> set[str]:
+    """A new set of the chunk ids posted under ``key``."""
+    held = table.get(key)
+    if held is None:
+        return set()
+    return {held} if type(held) is str else set(held)

@@ -43,7 +43,7 @@ class Format(str, Enum):
 _CONTROL = {chr(c) for c in range(0x20)} | {"\x7f"}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LayerPath:
     """A hierarchical label under which chunks are filed.
 
@@ -92,7 +92,7 @@ def _finite(x: float) -> bool:
     return math.isfinite(x)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoundingBox:
     """An axis-aligned box in the chunk's CRS units (min X, min Y, max X, max Y)."""
 
@@ -147,7 +147,7 @@ _DATE_RE = re.compile(
 _UTC = timezone.utc
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DateValue:
     """An ISO-8601 date at year, month, day, or timestamp granularity.
 
@@ -294,7 +294,7 @@ def epoch_ms_from_key(key: tuple) -> float:
 _NUMBER_RE = re.compile(r"^[+-]?(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?$")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TypedValue:
     """A text, number, or date value as compared by query operators.
 
@@ -353,7 +353,7 @@ class CollectionKind(str, Enum):
     STANDALONE = "STANDALONE"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class XmlParents:
     """Enclosing-document context of an XML chunk.
 
@@ -370,7 +370,7 @@ class XmlParents:
         return Format.XML
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GeoJsonParents:
     """Enclosing-document context of a GeoJSON chunk."""
 
@@ -384,7 +384,7 @@ class GeoJsonParents:
 Parents = XmlParents | GeoJsonParents
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ChunkMetadata:
     """Per-chunk metadata; only tags and properties may change after import."""
 
@@ -415,9 +415,11 @@ class ChunkMetadata:
         return rec
 
     @classmethod
-    def from_record(cls, rec: dict) -> "ChunkMetadata":
+    def from_record(cls, rec: dict, parse_layer=parse_layer_path) -> "ChunkMetadata":
+        """Decode ``to_record`` output; a caching ``parse_layer`` lets the
+        records of one layer share its path."""
         return cls(
-            layer=parse_layer_path(rec["layer"]),
+            layer=parse_layer(rec["layer"]),
             tags=frozenset(rec.get("tags", ())),
             properties=dict(rec.get("props", {})),
             crs=rec.get("crs"),
@@ -426,7 +428,7 @@ class ChunkMetadata:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MetadataDelta:
     """A tags/properties change set; removals apply before sets/adds."""
 

@@ -8,9 +8,12 @@ task reports both counters. A failed import rolls back its own chunks, so
 imports are all-or-nothing.
 
 Searches query the index, load matching chunks from the store, and stream
-a merged document. Deletions remove ids from the index first, then the
-store. Metadata updates go to the store first (source of truth), then the
-index, so crash recovery converges on the stored state.
+a merged document, skipping ids the store no longer holds. Deletions,
+rollbacks and metadata updates go to the store first (source of truth),
+then the index. A crash between the halves of a delete leaves index entries
+without a stored chunk, which searches skip and reconcile drops at the next
+start, so a deleted chunk never comes back; one between the halves of an
+update leaves a stale snapshot, which reconcile resyncs.
 """
 
 from __future__ import annotations
@@ -70,15 +73,21 @@ class GeoRocketApp:
             fmt, chunks = split_auto(blocks)
             base_tags = frozenset(tags)
             base_props = dict(properties or {})
+            # one metadata object per CRS: nothing changes metadata in place
+            # (an update makes a new one with ``with_delta``), so chunks share it
+            by_crs: dict[str | None, ChunkMetadata] = {}
             for chunk in chunks:
-                metadata = ChunkMetadata(
-                    layer=layer,
-                    tags=base_tags,
-                    properties=dict(base_props),
-                    crs=chunk.crs_hint or fallback_crs,
-                    import_timestamp=timestamp,
-                    format=fmt,
-                )
+                crs = chunk.crs_hint or fallback_crs
+                metadata = by_crs.get(crs)
+                if metadata is None:
+                    metadata = by_crs[crs] = ChunkMetadata(
+                        layer=layer,
+                        tags=base_tags,
+                        properties=base_props,
+                        crs=crs,
+                        import_timestamp=timestamp,
+                        format=fmt,
+                    )
                 chunk_id = new_chunk_id()
                 self.store.put(
                     StoredEntry(
@@ -133,16 +142,15 @@ class GeoRocketApp:
                 continue
 
     def delete(self, layer: LayerPath, query_text: str, allow_all: bool = False) -> int:
-        """Delete matching chunks from index then store; returns the count.
+        """Delete matching chunks from store then index; returns the count.
 
         An empty query needs the explicit ``allow_all`` guard.
         """
         if not query_text.strip() and not allow_all:
             raise ParseError("refusing to delete with an empty query; pass all=true")
         ids = self.index.query(parse_query(query_text), layer)
-        removed = self.index.delete(ids)
         self.store.delete(ids)
-        return removed
+        return self.index.delete(ids)
 
     def update_metadata(self, layer: LayerPath, query_text: str, delta: MetadataDelta) -> int:
         """Apply a tags/properties delta to every matching chunk.
@@ -233,8 +241,8 @@ class GeoRocketApp:
 
     def _rollback(self, item) -> None:
         _, task, ids, message = item
-        self.index.delete(ids)
         self.store.delete(ids)
+        self.index.delete(ids)
         task.fail(message)
         logger.warning("import %s failed and was rolled back (%d chunks): %s",
                        task.id, len(ids), message)

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from ..model import GeoJsonParents, XmlParents
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RawChunk:
     """One syntactically complete feature fragment cut from the input.
 

@@ -17,7 +17,7 @@ from ..model import ChunkMetadata, GeoJsonParents, LayerPath, MetadataDelta, Xml
 __all__ = ["StoredEntry", "ChunkStore", "create_store", "MemoryStore", "FileSystemStore"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StoredEntry:
     """One chunk at rest: verbatim content, enclosing context, metadata."""
 

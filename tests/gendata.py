@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import random
 
-from georocket.indexer import IndexDocument, IndexedAttribute
+from georocket.indexer import IndexDocument, IndexedAttribute, build_document
 from georocket.model import (
     BoundingBox,
     ChunkMetadata,
     DateValue,
     Format,
+    ROOT_LAYER,
     TypedValue,
     parse_layer_path,
 )
@@ -22,6 +23,7 @@ from georocket.query.ast import (
     LogicalOp,
     TextTerm,
 )
+from georocket.store import StoredEntry
 
 # --- CityGML-like XML -----------------------------------------------------
 
@@ -123,6 +125,13 @@ def geojson_stream(count: int, block_size: int = 1 << 18, pad: int = 700):
             del buf[:block_size]
     buf.extend(b"]}")
     yield bytes(buf)
+
+
+def project(chunk) -> IndexDocument:
+    """``build_document`` of a splitter chunk, stored at the root layer."""
+    metadata = ChunkMetadata(layer=ROOT_LAYER, format=chunk.parents.format)
+    return build_document(StoredEntry(id="C0", content=chunk.content, parents=chunk.parents,
+                                      metadata=metadata))
 
 
 # --- random index documents ---------------------------------------------------

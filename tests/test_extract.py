@@ -5,7 +5,6 @@ import re
 import xml.etree.ElementTree as ET
 
 from georocket.indexer import build_document
-from georocket.indexer.extract import extract_attributes, extract_bbox, extract_tokens
 from georocket.model import (
     ChunkMetadata,
     CollectionKind,
@@ -17,6 +16,8 @@ from georocket.model import (
 )
 from georocket.splitter import RawChunk
 from georocket.store import StoredEntry
+
+from gendata import project
 
 GEOMETRY_LOCAL_NAMES = {"posList", "pos", "coordinates", "lowerCorner", "upperCorner"}
 
@@ -66,7 +67,7 @@ def brute_force_xml_bbox(content: bytes):
 class TestXmlBBox:
     def test_three_dimensional_poslist(self):
         chunk = xml_chunk(b'<w><gml:posList xmlns:gml="g" srsDimension="3">0 0 5 2 3 7</gml:posList></w>')
-        box = extract_bbox(chunk)
+        box = project(chunk).bbox
         assert (box.min_x, box.min_y, box.max_x, box.max_y) == (0, 0, 2, 3)
 
     def test_matches_brute_force_on_random_documents(self):
@@ -83,7 +84,7 @@ class TestXmlBBox:
             parts.append("</w>")
             content = "".join(parts).encode()
             expected = brute_force_xml_bbox(content)
-            actual = extract_bbox(xml_chunk(content))
+            actual = project(xml_chunk(content)).bbox
             if expected is None:
                 assert actual is None
             else:
@@ -91,7 +92,7 @@ class TestXmlBBox:
 
     def test_srs_dimension_inherited_from_ancestor(self):
         chunk = xml_chunk(b'<w srsDimension="3"><pos>1 2 3</pos></w>')
-        box = extract_bbox(chunk)
+        box = project(chunk).bbox
         assert (box.min_x, box.min_y) == (1, 2)
         assert (box.max_x, box.max_y) == (1, 2)
 
@@ -99,33 +100,33 @@ class TestXmlBBox:
         chunk = xml_chunk(
             b"<e><lowerCorner>0 0</lowerCorner><upperCorner>9 8</upperCorner></e>"
         )
-        box = extract_bbox(chunk)
+        box = project(chunk).bbox
         assert (box.min_x, box.min_y, box.max_x, box.max_y) == (0, 0, 9, 8)
 
     def test_comma_separated_coordinates(self):
         chunk = xml_chunk(b"<g><coordinates>13.4,52.5 13.5,52.6</coordinates></g>")
-        box = extract_bbox(chunk)
+        box = project(chunk).bbox
         assert (box.min_x, box.max_x) == (13.4, 13.5)
 
     def test_no_geometry(self):
-        assert extract_bbox(xml_chunk(b"<a><b>just text</b></a>")) is None
+        assert project(xml_chunk(b"<a><b>just text</b></a>")).bbox is None
 
 
 class TestGeoJsonBBox:
     def test_point_degenerate_box(self):
         chunk = geojson_chunk(b'{"geometry":{"type":"Point","coordinates":[13.4,52.5]}}')
-        box = extract_bbox(chunk)
+        box = project(chunk).bbox
         assert (box.min_x, box.min_y, box.max_x, box.max_y) == (13.4, 52.5, 13.4, 52.5)
 
     def test_polygon(self):
         chunk = geojson_chunk(
             b'{"geometry":{"type":"Polygon","coordinates":[[[0,0],[4,0],[4,3],[0,3],[0,0]]]}}'
         )
-        box = extract_bbox(chunk)
+        box = project(chunk).bbox
         assert (box.min_x, box.min_y, box.max_x, box.max_y) == (0, 0, 4, 3)
 
     def test_no_geometry(self):
-        assert extract_bbox(geojson_chunk(b'{"properties":{"a":1}}')) is None
+        assert project(geojson_chunk(b'{"properties":{"a":1}}')).bbox is None
 
 
 class TestAttributes:
@@ -134,7 +135,7 @@ class TestAttributes:
             b'<b><gen:stringAttribute xmlns:gen="g" name="owner">'
             b"<gen:value>city</gen:value></gen:stringAttribute></b>"
         )
-        attrs = extract_attributes(chunk)
+        attrs = project(chunk).attributes
         assert [(a.key, a.value) for a in attrs] == [("owner", TypedValue.of_text("city"))]
 
     def test_double_attribute_is_numeric(self):
@@ -142,7 +143,7 @@ class TestAttributes:
             b'<b><gen:doubleAttribute xmlns:gen="g" name="height">'
             b"<gen:value>12.5</gen:value></gen:doubleAttribute></b>"
         )
-        attrs = extract_attributes(chunk)
+        attrs = project(chunk).attributes
         assert attrs[0].value == TypedValue.of_number(12.5)
 
     def test_four_digit_value_is_a_year(self):
@@ -150,30 +151,30 @@ class TestAttributes:
             b'<b><gen:intAttribute xmlns:gen="g" name="built">'
             b"<gen:value>2018</gen:value></gen:intAttribute></b>"
         )
-        assert extract_attributes(chunk)[0].value.kind == "date"
+        assert project(chunk).attributes[0].value.kind == "date"
 
     def test_attribute_without_name_ignored(self):
         chunk = xml_chunk(b"<b><gen:stringAttribute xmlns:gen='g'><gen:value>x</gen:value></gen:stringAttribute></b>")
-        assert extract_attributes(chunk) == []
+        assert project(chunk).attributes == ()
 
     def test_multiple_attributes_same_key(self):
         chunk = xml_chunk(
             b'<b><a:stringAttribute xmlns:a="g" name="use"><a:value>retail</a:value></a:stringAttribute>'
             b'<a:stringAttribute xmlns:a="g" name="use"><a:value>office</a:value></a:stringAttribute></b>'
         )
-        assert [a.value.value for a in extract_attributes(chunk)] == ["retail", "office"]
+        assert [a.value.value for a in project(chunk).attributes] == ["retail", "office"]
 
     def test_geojson_properties(self):
         chunk = geojson_chunk(
             b'{"properties":{"name":"Berlin","height":12.5}}'
         )
-        attrs = {a.key: a.value for a in extract_attributes(chunk)}
+        attrs = {a.key: a.value for a in project(chunk).attributes}
         assert attrs["name"] == TypedValue.of_text("Berlin")
         assert attrs["height"] == TypedValue.of_number(12.5)
 
     def test_geojson_nested_flattened_with_dots(self):
         chunk = geojson_chunk(b'{"properties":{"address":{"city":"K\\u00f6ln"}}}')
-        attrs = extract_attributes(chunk)
+        attrs = project(chunk).attributes
         assert attrs[0].key == "address.city"
 
     def test_geojson_typing_rules(self):
@@ -181,7 +182,7 @@ class TestAttributes:
             b'{"properties":{"flag":true,"nothing":null,"date":"2018-09-13",'
             b'"num_text":"12.5","list":[1,2]}}'
         )
-        attrs = {a.key: a.value for a in extract_attributes(chunk)}
+        attrs = {a.key: a.value for a in project(chunk).attributes}
         assert attrs["flag"] == TypedValue.of_text("true")
         assert "nothing" not in attrs
         assert attrs["date"].kind == "date"
@@ -189,47 +190,47 @@ class TestAttributes:
         assert attrs["list"] == TypedValue.of_text("[1,2]")
 
     def test_empty_properties(self):
-        assert extract_attributes(geojson_chunk(b'{"properties":{}}')) == []
+        assert project(geojson_chunk(b'{"properties":{}}')).attributes == ()
 
 
 class TestTokens:
     def test_xal_address_text(self):
         chunk = xml_chunk(b"<a><street>Schildergasse</street></a>")
-        assert "schildergasse" in extract_tokens(chunk)
+        assert "schildergasse" in project(chunk).tokens
 
     def test_unicode_lowercasing(self):
         chunk = xml_chunk("<a><city>Köln</city></a>".encode())
-        assert "köln" in extract_tokens(chunk)
+        assert "köln" in project(chunk).tokens
 
     def test_attribute_values_tokenised(self):
         chunk = xml_chunk(b'<a name="Rathaus"/>')
-        assert "rathaus" in extract_tokens(chunk)
+        assert "rathaus" in project(chunk).tokens
 
     def test_entities_unescaped(self):
         chunk = xml_chunk(b"<a>Tom &amp; Jerry</a>")
-        tokens = extract_tokens(chunk)
+        tokens = project(chunk).tokens
         assert "tom" in tokens and "jerry" in tokens and "amp" not in tokens
 
     def test_markup_inside_text_separates_tokens(self):
         chunk = xml_chunk(b"<a>foo<![CDATA[bar]]>baz<!--c-->qux<?pi x?>quux</a>")
-        assert extract_tokens(chunk) == {"foo", "bar", "baz", "qux", "quux"}
+        assert project(chunk).tokens == ("bar", "baz", "foo", "quux", "qux")
 
     def test_markup_inside_coordinates_joins_text(self):
         chunk = xml_chunk(b"<a><pos>1 2<!--c-->5 <![CDATA[3]]> 4</pos></a>")
-        box = extract_bbox(chunk)
+        box = project(chunk).bbox
         assert (box.min_x, box.min_y, box.max_x, box.max_y) == (1, 4, 3, 25)  # 1 25 3 4
 
     def test_cdata_tokenised(self):
-        assert "verbatim" in extract_tokens(xml_chunk(b"<a><![CDATA[verbatim]]></a>"))
+        assert "verbatim" in project(xml_chunk(b"<a><![CDATA[verbatim]]></a>")).tokens
 
     def test_geometry_only_feature_still_has_numeral_tokens(self):
         chunk = geojson_chunk(b'{"type":"Feature","geometry":{"type":"Point","coordinates":[13.4,52.5]},"properties":{}}')
-        tokens = extract_tokens(chunk)
+        tokens = project(chunk).tokens
         assert "13.4" in tokens and "52.5" in tokens
 
     def test_geojson_string_and_number_values(self):
         chunk = geojson_chunk(b'{"properties":{"name":"Dom","height":157}}')
-        tokens = extract_tokens(chunk)
+        tokens = project(chunk).tokens
         assert "dom" in tokens and "157" in tokens
 
 
@@ -273,7 +274,7 @@ class TestBuildDocument:
             sequence=0,
         )
         doc = build_document(entry)
-        assert doc.bbox is None and doc.attributes == () and doc.tokens == frozenset()
+        assert doc.bbox is None and doc.attributes == () and doc.tokens == ()
 
     def test_integer_beyond_float_range_reads_as_infinity(self):
         big = "9" * 401
@@ -302,4 +303,4 @@ class TestBuildDocument:
             sequence=0,
         )
         doc = build_document(entry)
-        assert doc.bbox is None and doc.attributes == () and doc.tokens == frozenset()
+        assert doc.bbox is None and doc.attributes == () and doc.tokens == ()

@@ -1,9 +1,11 @@
+import gc
 import json
 import math
 import os
 import random
 import stat
 import tempfile
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -12,14 +14,16 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from georocket.errors import DuplicateIdError, StorageError, UnknownIdError
-from georocket.indexer import ChunkIndex, IndexDocument, IndexedAttribute
+from georocket.indexer import ChunkIndex, IndexDocument, IndexedAttribute, build_document
 from georocket.indexer.columns import _FEW, SortedEntries
 from georocket.indexer.segments import SEGMENT_MAGIC, SegmentLog, encode
 from georocket.model import (
     BoundingBox,
     ChunkMetadata,
+    CollectionKind,
     DateValue,
     Format,
+    GeoJsonParents,
     MetadataDelta,
     ROOT_LAYER,
     TypedValue,
@@ -27,8 +31,9 @@ from georocket.model import (
 )
 from georocket.query import MatchAll, evaluate_oracle, parse_query
 from georocket.query.ast import Comparison, CompareOp, DateTerm, Logical, LogicalOp
+from georocket.store import StoredEntry
 
-from gendata import random_document, random_query
+from gendata import KEYS, TAGS, WORDS, geojson_feature, random_document, random_query
 
 
 def make_doc(i, layer="/", tags=(), properties=None, tokens=("alpha",), ts=1500000000000,
@@ -443,6 +448,9 @@ class TestPersistence:
         assert set(reopened.all_ids()) == {d.chunk_id for d in docs} - {docs[1].chunk_id}
         assert "X" in reopened.get_document(docs[0].chunk_id).metadata.tags
         first = {i: reopened.get_document(i) for i in reopened.all_ids()}
+        layers = {}  # replay shares one path per layer
+        for doc in first.values():
+            assert layers.setdefault(doc.metadata.layer, doc.metadata.layer) is doc.metadata.layer
         reopened.close()
 
         # replay is deterministic
@@ -729,3 +737,117 @@ class TestKeptLines:
         index.delete([docs[1].chunk_id])
         index.compact()
         assert len(index) == 9
+
+
+class TestPostings:
+    """A token held by one chunk maps to the bare id; by two or more, to a set."""
+
+    @staticmethod
+    def _assert_compact(index):
+        for table in (index._content_tokens, index._tag_ids, index._prop_tokens):
+            for key, held in table.items():
+                assert type(held) is str or (type(held) is set and len(held) >= 2), (key, held)
+
+    @staticmethod
+    def _round(rng, root, steps=60):
+        """Seeded adds, updates, deletes, compactions and reopens; yields the
+        index and the live documents after each step."""
+        index = ChunkIndex(root, compact_after_ops=40)
+        by_id: dict[str, IndexDocument] = {}
+        tags = TAGS + ["berlin", "KÖLN"]  # lowered, they meet other tags
+        for step in range(steps):
+            roll = rng.random()
+            if roll < 0.35 or len(by_id) < 4:
+                batch = [random_document(rng, step * 10 + k) for k in range(rng.randint(1, 8))]
+                index.add_documents(batch)
+                by_id.update((d.chunk_id, d) for d in batch)
+            elif roll < 0.6:
+                ids = rng.sample(sorted(by_id), rng.randint(1, 3))
+                delta = MetadataDelta(
+                    set_properties={rng.choice(KEYS): rng.choice(WORDS)},
+                    remove_properties=frozenset(rng.sample(KEYS, 1)),
+                    add_tags=frozenset(rng.sample(tags, rng.randint(0, 2))),
+                    remove_tags=frozenset(rng.sample(tags, rng.randint(0, 2))))
+                index.update_metadata(ids, delta)
+                for i in ids:
+                    by_id[i] = by_id[i].with_metadata(by_id[i].metadata.with_delta(delta))
+            elif roll < 0.85:
+                ids = rng.sample(sorted(by_id), rng.randint(1, 4))
+                index.delete(ids)
+                for i in ids:
+                    del by_id[i]
+            elif roll < 0.93:
+                index.compact()
+            else:
+                index.close()
+                index = ChunkIndex(root, compact_after_ops=40)
+            yield index, by_id
+        index.close()
+
+    @pytest.mark.parametrize("seed", [41, 42, 43])
+    def test_postings_stay_compact_and_queries_equal_the_oracle(self, tmp_path, seed):
+        rng = random.Random(seed)
+        for index, by_id in self._round(rng, tmp_path / "idx"):
+            self._assert_compact(index)
+            for ast in [MatchAll()] + [random_query(rng) for _ in range(3)]:
+                assert index.query(ast) == oracle_ids(by_id.values(), ast), ast
+
+    def test_dropping_one_spelling_of_a_tag_keeps_the_other(self):
+        index = ChunkIndex()
+        index.add_documents([make_doc(1, tags=("Berlin", "berlin")), make_doc(2, tags=("berlin",))])
+        index.update_metadata(["C0001"], MetadataDelta(remove_tags=frozenset({"Berlin"})))
+        assert index.query(parse_query("berlin")) == ["C0001", "C0002"]
+        index.update_metadata(["C0001"], MetadataDelta(remove_tags=frozenset({"berlin"})))
+        assert index.query(parse_query("berlin")) == ["C0002"]
+        assert index._tag_ids == {"berlin": "C0002"}
+
+    def test_a_round_leaves_no_cyclic_garbage(self, tmp_path):
+        # the premise of freezing the collector's view of the index
+        gc.collect()
+        gc.disable()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            for index, by_id in self._round(random.Random(44), tmp_path / "idx"):
+                index.query(random_query(random.Random(len(by_id))))
+            del index, by_id
+            found = gc.collect()
+            garbage = Counter(type(o).__name__ for o in gc.garbage)
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            gc.enable()
+        assert found == 0, garbage
+
+
+class TestMemory:
+    @staticmethod
+    def _bytes_per_document(root, n) -> float:
+        """Traced bytes an index with a log holds per bench-like GeoJSON feature."""
+        parents = GeoJsonParents(CollectionKind.FEATURE_COLLECTION)
+        entries = []
+        for start in range(0, n, 1000):  # imports of 1 000 features each
+            metadata = ChunkMetadata(layer=parse_layer_path(f"/l{start}"),
+                                     import_timestamp=1500000000000 + start, format=Format.GEOJSON)
+            entries += [StoredEntry(id=f"C{i:07d}", content=geojson_feature(i).encode(),
+                                    parents=parents, metadata=metadata, sequence=i)
+                        for i in range(start, min(n, start + 1000))]
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            index = ChunkIndex(root, fsync=False)
+            for start in range(0, n, 256):
+                index.add_documents([build_document(e) for e in entries[start:start + 256]])
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        index.close()
+        return held / n
+
+    def test_index_bytes_per_document_are_bounded_and_linear(self, tmp_path):
+        if tracemalloc.is_tracing():
+            pytest.skip("tracemalloc is already tracing")
+        small, large = (self._bytes_per_document(tmp_path / f"idx{n}", n) for n in (1000, 4000))
+        assert small <= 4200 and large <= 4200, (small, large)
+        assert large / small <= 1.1, (small, large)

@@ -14,7 +14,7 @@ import pytest
 import requests
 
 from georocket.indexer import build_document
-from georocket.model import MetadataDelta, parse_layer_path
+from georocket.model import Format, MetadataDelta, parse_layer_path
 from georocket.query import parse_query
 from georocket.server import EmbeddedServer, GeoRocketApp, ServerConfig, TaskState, reconcile
 from georocket.server.httpd import _Handler
@@ -59,6 +59,22 @@ def decode_chunked(response: bytes) -> tuple[list[int], bytes, bool]:
         data += rest[end + 2 : end + 2 + size]
         pos = end + 4 + size
     return sizes, data, False
+
+
+def finish(task, timeout=30.0):
+    """Wait for an in-process import task to end; it must have finished."""
+    deadline = time.time() + timeout
+    while not task.is_terminal():
+        assert time.time() < deadline, f"task still {task.state}"
+        time.sleep(0.01)
+    assert task.state is TaskState.FINISHED, task.error
+    return task
+
+
+def feature_names(app, layer) -> set[str]:
+    """The names of the features a search of the whole layer exports."""
+    _, body = app.search(layer, "", Format.GEOJSON)
+    return {f["properties"]["name"] for f in json.loads(b"".join(body))["features"]}
 
 
 def import_and_wait(url, path_qs, data, headers=None, timeout=30.0):
@@ -529,6 +545,23 @@ class TestMetadata:
         assert app.index.query(parse_query("EQ(k v)")) == rest
         assert [app.store.get(i).metadata.properties for i in rest] == [{"k": "v"}] * 2
 
+    def test_update_of_one_chunk_leaves_its_import_sibling_unchanged(self):
+        app = GeoRocketApp(ServerConfig())
+        layer = parse_layer_path("/s")
+        try:
+            finish(app.import_stream(layer, [make_geojson(2)], tags=("t",), properties={"a": "1"}))
+            first, second = app.index.query(parse_query(""), layer)
+            assert app.store.get(first).metadata is app.store.get(second).metadata  # one per import
+            delta = MetadataDelta(set_properties={"a": "2"}, add_tags=frozenset({"u"}))
+            assert app.update_metadata(layer, "EQ(height 5.5)", delta) == 1  # the second feature
+            for metadata in (app.store.get(first).metadata, app.index.get_document(first).metadata):
+                assert (metadata.properties, metadata.tags) == ({"a": "1"}, {"t"})
+            for metadata in (app.store.get(second).metadata, app.index.get_document(second).metadata):
+                assert (metadata.properties, metadata.tags) == ({"a": "2"}, {"t", "u"})
+            assert app.index.query(parse_query("EQ(a 1)")) == [first]
+        finally:
+            app.close()
+
     def test_set_twice_last_write_wins(self, server):
         import_and_wait(server.url, "/store", make_geojson(1))
         requests.put(server.url + "/store?search=&properties=k:one")
@@ -799,6 +832,41 @@ class TestReconcile:
             assert "huge" in app.index.get_document(chunk_id).tokens
         finally:
             app.close()
+
+    def test_a_delete_cut_between_its_halves_brings_no_chunk_back(self, tmp_path):
+        config = ServerConfig(store_backend="filesystem", store_path=str(tmp_path / "s"),
+                              index_path=str(tmp_path / "i"))
+        layer = parse_layer_path("/d")
+        app = GeoRocketApp(config)
+        try:
+            finish(app.import_stream(layer, [make_geojson(6)]))
+            halves = []
+
+            def failing_second_half(part):
+                delete = part.delete
+
+                def first_half_only(ids):
+                    halves.append(part)
+                    if len(halves) == 2:
+                        raise RuntimeError("crash between the halves of a delete")
+                    return delete(ids)
+
+                return first_half_only
+
+            app.store.delete = failing_second_half(app.store)
+            app.index.delete = failing_second_half(app.index)
+            with pytest.raises(RuntimeError):
+                app.delete(layer, "OR(EQ(height 5.5) EQ(height 6.0))")
+            before = feature_names(app, layer)
+        finally:
+            app.close()
+        app = GeoRocketApp(config)  # reconciles the store and the index
+        try:
+            after = feature_names(app, layer)
+        finally:
+            app.close()
+        assert len(before) == 4
+        assert after <= before, after - before
 
     def test_clean_state_reports_zero(self, tmp_path):
         app = GeoRocketApp(ServerConfig(store_backend="filesystem",

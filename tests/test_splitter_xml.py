@@ -11,12 +11,11 @@ from georocket.errors import (
     XmlMalformedError,
 )
 from georocket.indexer import build_document
-from georocket.indexer.extract import extract_attributes, extract_tokens
 from georocket.model import ChunkMetadata, Format, parse_layer_path
 from georocket.splitter import XmlSplitter, detect_format, split_auto, split_xml
 from georocket.store import StoredEntry
 
-from gendata import make_citygml
+from gendata import make_citygml, project
 
 SIMPLE = b"""<?xml version="1.0" encoding="UTF-8"?>
 <CityModel xmlns:gml="http://www.opengis.net/gml">
@@ -232,7 +231,7 @@ class TestEntities:
         (chunk,) = chunks_of(doc)
         assert chunk.content == b"<a>Hohe&nbsp;Stra&szlig;e caf&eacute; K&#246;ln &amp; more</a>"
         # an undeclared entity reads as its HTML meaning, as a whole text run
-        assert extract_tokens(chunk) == {"hohe", "straße", "café", "köln", "more"}
+        assert project(chunk).tokens == ("café", "hohe", "köln", "more", "straße")
 
     def test_doctype_entities_are_not_expanded_into_chunks(self):
         doc = b'<!DOCTYPE r [<!ENTITY e "<x>t</x>">]><r><a>&e;</a><b/></r>'
@@ -246,14 +245,14 @@ class TestEntities:
     def test_undeclared_entity_in_attribute_value_is_dropped(self):
         # pyexpat drops it from the decoded value: ``p&nbsp;q`` reads ``pq``
         (chunk,) = chunks_of(b'<r><a n="p&nbsp;q">t</a></r>')
-        assert extract_tokens(chunk) == {"pq", "t"}
+        assert project(chunk).tokens == ("pq", "t")
 
     def test_generic_attribute_key_is_decoded(self):
         (chunk,) = chunks_of(
             b'<r><gen:stringAttribute name="a&amp;b"><gen:value>v</gen:value>'
             b"</gen:stringAttribute></r>"
         )
-        assert [a.key for a in extract_attributes(chunk)] == ["a&b"]
+        assert [a.key for a in project(chunk).attributes] == ["a&b"]
 
 
 class TestMemoryBound:
