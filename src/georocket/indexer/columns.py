@@ -39,7 +39,9 @@ class SortedEntries:
 
     Adds append to an unsorted tail; the first read or removal after them
     sorts the list, and Timsort merges the sorted run with a short tail in
-    near-linear time.
+    near-linear time. Removals rewrite the list in place: a new list would
+    be a young object that every full garbage collection rescans, entry by
+    entry, until the server freezes the heap again (see ``server.app``).
     """
 
     __slots__ = ("_items", "_dirty")
@@ -73,7 +75,7 @@ class SortedEntries:
             return
         pending = Counter(entries)
         ids = {entry[-1] for entry in entries}
-        self._items = [
+        self._items[:] = [
             entry for entry in self._items if entry[-1] not in ids or _kept(pending, entry)
         ]
         if pending:
@@ -81,7 +83,7 @@ class SortedEntries:
 
     def drop_ids(self, ids: set[str]) -> None:
         """Remove every entry of the chunks ``ids`` in one pass."""
-        self._items = [entry for entry in self._items if entry[-1] not in ids]
+        self._items[:] = [entry for entry in self._items if entry[-1] not in ids]
 
     def items(self) -> list[tuple]:
         """The entries in order."""

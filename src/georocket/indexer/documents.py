@@ -5,7 +5,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass, replace
 
-from ..model import BoundingBox, ChunkMetadata, TypedValue, parse_layer_path
+from ..model import BoundingBox, ChunkMetadata, TypedValue
 
 
 @dataclass(frozen=True, slots=True)
@@ -63,8 +63,9 @@ class IndexDocument:
         return rec
 
     @classmethod
-    def from_record(cls, rec: dict, parse_layer=parse_layer_path) -> "IndexDocument":
-        """Decode ``to_record`` output; ``parse_layer`` as in ``ChunkMetadata.from_record``."""
+    def from_record(cls, rec: dict, parse_meta=ChunkMetadata.from_record) -> "IndexDocument":
+        """Decode ``to_record`` output; ``parse_meta`` decodes the metadata
+        record, so a caching one lets documents share their metadata."""
         bbox = BoundingBox(*rec["bbox"]) if rec.get("bbox") else None
         return cls(
             chunk_id=rec["id"],
@@ -73,6 +74,6 @@ class IndexDocument:
                 IndexedAttribute(sys.intern(k), TypedValue.from_record(v)) for k, v in rec["attrs"]
             ),
             tokens=tuple(rec["tokens"]),  # written sorted and distinct
-            metadata=ChunkMetadata.from_record(rec["meta"], parse_layer),
+            metadata=parse_meta(rec["meta"]),
             sequence=int(rec.get("seq", 0)),
         )

@@ -27,8 +27,13 @@ on open; the log compacts itself periodically. Each document's add record is
 encoded once, when it is committed; an index with a log keeps that line (or
 the line replay read) until an update or a delete drops it, and compaction
 copies the kept lines, encoding again only documents updated since. That
-costs about one log line of memory per document. The store remains the
-source of truth, so a lost index can always be rebuilt from stored chunks.
+costs about one log line of memory per document. Replay decodes each
+distinct metadata record once, so the documents of one import share one
+``ChunkMetadata`` after a restart too. ``compactions`` counts the
+compactions since open: after one, the structures hold no garbage and their
+objects are long-lived, which is when the server freezes them out of the
+garbage collector's view (see ``server.app``). The store remains the source
+of truth, so a lost index can always be rebuilt from stored chunks.
 
 Concurrency: one writer at a time; all public methods take the instance
 lock, so readers only ever observe fully committed batches.
@@ -41,6 +46,7 @@ import threading
 
 from ..errors import DuplicateIdError, UnknownIdError
 from ..model import (
+    ChunkMetadata,
     LayerPath,
     MetadataDelta,
     ROOT_LAYER,
@@ -82,6 +88,7 @@ class ChunkIndex:
         self._lines: dict[str, str] = {}  # id -> its encoded add line, filled only with a log
         self._ops_since_compact = 0
         self._compact_after_ops = compact_after_ops
+        self.compactions = 0  # compactions run since open; read without the lock
         self._log = SegmentLog(path, fsync=fsync) if path is not None else None
         if self._log is not None:
             self._replay()
@@ -90,10 +97,22 @@ class ChunkIndex:
 
     def _replay(self) -> None:
         parse_layer = functools.cache(parse_layer_path)  # one path per layer, shared
+        shared: dict[tuple, ChunkMetadata] = {}
+
+        def parse_meta(rec: dict) -> ChunkMetadata:
+            # one object per distinct record, so the documents of one import
+            # share their metadata as they did when they were added
+            key = (rec["layer"], rec["ts"], rec["format"], rec.get("crs"),
+                   tuple(rec.get("tags", ())), tuple(rec.get("props", {}).items()))
+            meta = shared.get(key)
+            if meta is None:
+                meta = shared[key] = ChunkMetadata.from_record(rec, parse_layer)
+            return meta
+
         for op, line in self._log.replay():
             kind = op["op"]
             if kind == "add":
-                doc = IndexDocument.from_record(op["doc"], parse_layer)
+                doc = IndexDocument.from_record(op["doc"], parse_meta)
                 self._apply_add(doc)
                 self._lines[doc.chunk_id] = line
             elif kind == "update":
@@ -125,6 +144,7 @@ class ChunkIndex:
             # the order keys end in the id
             self._log.compact([lines[key[-1]] for key in self._timestamps.items()])
             self._ops_since_compact = 0
+            self.compactions += 1
 
     def close(self) -> None:
         with self._lock:

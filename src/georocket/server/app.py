@@ -4,8 +4,12 @@ An import streams through the splitter into the store; each written chunk
 id is handed to the index worker through a bounded queue (back-pressure:
 when the indexer lags, the splitter stalls). The import is acknowledged
 once all chunks are stored; indexing continues in the background and the
-task reports both counters. A failed import rolls back its own chunks, so
-imports are all-or-nothing.
+task reports both counters. Imports are all-or-nothing: the task keeps the
+ids of its chunks until it ends, and when its split fails or a batch holding
+any of its chunks fails to index, the worker removes every chunk the task
+wrote, store first, then index, and fails the task. A batch that fails fails every task
+in it. Chunks of a failed task still queued are deleted, not indexed, and the
+split of a failed task stops at its next chunk.
 
 Searches query the index, load matching chunks from the store, and stream
 a merged document, skipping ids the store no longer holds. Deletions,
@@ -14,16 +18,30 @@ then the index. A crash between the halves of a delete leaves index entries
 without a stored chunk, which searches skip and reconcile drops at the next
 start, so a deleted chunk never comes back; one between the halves of an
 update leaves a stale snapshot, which reconcile resyncs.
+
+Garbage collection: the index is most of the heap, and it is long-lived and
+free of reference cycles, so the cyclic collector's full collections would
+only rescan it. The app opens the index and reconciles with the collector
+paused, then calls ``gc.freeze()``, which moves every object alive into a
+generation the collector never scans. After an index write that compacted
+the log, ``_settle_after_compaction`` collects once and freezes again,
+outside the index lock. Full collections then scan what was made since
+the last compaction instead of the whole index (index structures rebuilt
+in between, such as the spatial tree, still count). A frozen object is
+still freed when its last reference goes; only a reference cycle that was
+alive at a freeze is never collected, and the server makes none at these
+points (``tests/test_server.py`` checks it).
 """
 
 from __future__ import annotations
 
+import gc
 import logging
 import queue
 import threading
 import time
 
-from ..errors import NotFoundError, ParseError, UnknownIdError
+from ..errors import GeoRocketError, NotFoundError, ParseError, UnknownIdError
 from ..indexer import ChunkIndex, build_document
 from ..merger import merge
 from ..model import ChunkMetadata, Format, LayerPath, MetadataDelta
@@ -33,7 +51,7 @@ from ..splitter import split_auto
 from ..store import StoredEntry, create_store
 from .config import ServerConfig
 from .reconcile import ReconcileReport, reconcile
-from .tasks import ImportTask, TaskRegistry
+from .tasks import ImportTask, TaskRegistry, TaskState
 
 logger = logging.getLogger(__name__)
 
@@ -44,13 +62,24 @@ class GeoRocketApp:
     def __init__(self, config: ServerConfig):
         self.config = config.validate()
         self.store = create_store(config.store_backend, config.store_path)
-        self.index = ChunkIndex(config.index_path)
+        # replay and reconcile build the long-lived index: collecting while
+        # they run would only rescan it
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            self.index = ChunkIndex(config.index_path)
+            if config.reconcile_on_start:
+                self.reconcile()
+        finally:
+            if collecting:
+                gc.enable()
+        gc.freeze()
+        self._settled_compactions = self.index.compactions
+        self._settle_lock = threading.Lock()
         self.tasks = TaskRegistry(config.task_retention_seconds)
         self.request_slots = threading.BoundedSemaphore(config.max_concurrent_requests)
         self._queue: queue.Queue = queue.Queue(maxsize=config.index_queue_size)
         self._closed = False
-        if config.reconcile_on_start:
-            self.reconcile()
         self._worker = threading.Thread(target=self._index_worker, daemon=True,
                                         name="georocket-indexer")
         self._worker.start()
@@ -63,11 +92,10 @@ class GeoRocketApp:
 
         Returns once every chunk is durably stored; indexing catches up
         asynchronously. Any failure rolls back this import's chunks and
-        re-raises.
+        re-raises; so does a failure to index them while splitting.
         """
         task = self.tasks.create(layer)
         task.start_splitting()
-        written: list[str] = []
         timestamp = time.time_ns() // 1_000_000
         try:
             fmt, chunks = split_auto(blocks)
@@ -77,6 +105,8 @@ class GeoRocketApp:
             # (an update makes a new one with ``with_delta``), so chunks share it
             by_crs: dict[str | None, ChunkMetadata] = {}
             for chunk in chunks:
+                if task.state is TaskState.FAILED:
+                    raise GeoRocketError(f"import failed while indexing: {task.error}")
                 crs = chunk.crs_hint or fallback_crs
                 metadata = by_crs.get(crs)
                 if metadata is None:
@@ -98,14 +128,13 @@ class GeoRocketApp:
                         sequence=chunk.sequence,
                     )
                 )
-                written.append(chunk_id)
-                task.add_written(1)
+                task.add_written(chunk_id)
                 self._queue.put(("add", task, chunk_id))
             task.splitting_done()
             return task
         except BaseException as e:
             message = str(e) if str(e) else type(e).__name__
-            self._queue.put(("rollback", task, written, message))
+            self._queue.put(("rollback", task, message))
             raise
 
     # --- queries ------------------------------------------------------------
@@ -150,7 +179,9 @@ class GeoRocketApp:
             raise ParseError("refusing to delete with an empty query; pass all=true")
         ids = self.index.query(parse_query(query_text), layer)
         self.store.delete(ids)
-        return self.index.delete(ids)
+        deleted = self.index.delete(ids)
+        self._settle_after_compaction()
+        return deleted
 
     def update_metadata(self, layer: LayerPath, query_text: str, delta: MetadataDelta) -> int:
         """Apply a tags/properties delta to every matching chunk.
@@ -177,6 +208,7 @@ class GeoRocketApp:
             except UnknownIdError:
                 # a concurrent delete took some of them out of the index
                 updated = [i for i in updated if self.index.get_document(i) is not None]
+        self._settle_after_compaction()
         return sum(changed[i] for i in updated)
 
     def task(self, task_id: str) -> ImportTask | None:
@@ -216,36 +248,62 @@ class GeoRocketApp:
                 if item[0] == "add":
                     self._handle_batch(ops)
                 else:
-                    self._rollback(item)
+                    self._rollback(item[1], item[2])
             except Exception:
                 logger.exception("index worker: unexpected failure")
-                for op in ops:
-                    op[1].fail("internal indexing failure")
+                for task in dict.fromkeys(op[1] for op in ops):
+                    try:
+                        self._rollback(task, "internal indexing failure")
+                    except Exception:
+                        logger.exception("index worker: cannot roll back import %s", task.id)
+            self._settle_after_compaction()
 
     def _handle_batch(self, batch) -> None:
         if self.config.index_throttle_ms:
             time.sleep(self.config.index_throttle_ms / 1000.0)
         docs = []
         tasks = []
+        dead = []
         for _, task, chunk_id in batch:
+            if task.state is TaskState.FAILED:
+                dead.append(chunk_id)  # written after its task was rolled back
+                continue
             try:
                 entry = self.store.get(chunk_id)
             except NotFoundError:
                 continue  # rolled back or deleted before indexing
             docs.append(build_document(entry))
             tasks.append(task)
+        if dead:
+            self.store.delete(dead)
         if docs:
             self.index.add_documents(docs)
             for task in tasks:
                 task.add_indexed(1)
 
-    def _rollback(self, item) -> None:
-        _, task, ids, message = item
-        self.store.delete(ids)
-        self.index.delete(ids)
-        task.fail(message)
+    def _rollback(self, task: ImportTask, message: str) -> None:
+        """Fail ``task`` and remove every chunk it wrote, store first."""
+        try:
+            ids = task.chunk_ids  # empty if the task has already failed
+            self.store.delete(ids)
+            self.index.delete(ids)
+        finally:
+            task.fail(message)
         logger.warning("import %s failed and was rolled back (%d chunks): %s",
                        task.id, len(ids), message)
+
+    # --- garbage collection ------------------------------------------------------
+
+    def _settle_after_compaction(self) -> None:
+        """If the index compacted since the last freeze, collect what was
+        made since then and freeze what survives."""
+        with self._settle_lock:
+            compactions = self.index.compactions
+            if compactions == self._settled_compactions:
+                return
+            self._settled_compactions = compactions
+        gc.collect()
+        gc.freeze()
 
     def close(self) -> None:
         if self._closed:

@@ -4,7 +4,8 @@ A task tracks one asynchronous import: chunks written by the splitter and
 chunks made searchable by the indexer. States move monotonically along
 ACCEPTED -> SPLITTING -> INDEXING -> FINISHED; FAILED is reachable from any
 non-terminal state. The indexed counter can never pass the written counter,
-and FINISHED means the two are equal.
+and FINISHED means the two are equal. Until the task ends it also keeps the
+ids of the chunks it wrote, so a failure can remove all of them.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ class ImportTask:
         self._state = TaskState.ACCEPTED
         self._written = 0
         self._indexed = 0
+        self._chunk_ids: list[str] | None = []  # dropped when the task ends
         self._splitting_done = False
         self._error: str | None = None
 
@@ -73,6 +75,12 @@ class ImportTask:
         with self._lock:
             return self._error
 
+    @property
+    def chunk_ids(self) -> list[str]:
+        """Ids of the chunks written so far; empty once the task has ended."""
+        with self._lock:
+            return list(self._chunk_ids or ())
+
     def is_terminal(self) -> bool:
         return self.state in _TERMINAL
 
@@ -85,14 +93,17 @@ class ImportTask:
         self._state = state
         if state in _TERMINAL:
             self.ended_at = _now_ms()
+            self._chunk_ids = None
 
     def start_splitting(self) -> None:
         with self._lock:
             self._transition(TaskState.SPLITTING)
 
-    def add_written(self, n: int = 1) -> None:
+    def add_written(self, chunk_id: str) -> None:
         with self._lock:
-            self._written += n
+            self._written += 1
+            if self._chunk_ids is not None:
+                self._chunk_ids.append(chunk_id)
 
     def add_indexed(self, n: int = 1) -> None:
         with self._lock:
@@ -116,8 +127,7 @@ class ImportTask:
         with self._lock:
             if self._state not in _TERMINAL:
                 self._error = message
-                self._state = TaskState.FAILED
-                self.ended_at = _now_ms()
+                self._transition(TaskState.FAILED)
 
     def to_dict(self) -> dict:
         with self._lock:

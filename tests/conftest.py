@@ -1,3 +1,4 @@
+import gc
 import sys
 import time
 from pathlib import Path
@@ -11,6 +12,14 @@ if str(ROOT / "tests") not in sys.path:
     sys.path.insert(0, str(ROOT / "tests"))
 
 from georocket.server import EmbeddedServer, ServerConfig  # noqa: E402
+
+
+@pytest.fixture(autouse=True)
+def unfrozen_heap():
+    """Undo the ``gc.freeze()`` of any app a test built, so later tests see
+    the collector as they would alone."""
+    yield
+    gc.unfreeze()
 
 
 @pytest.fixture

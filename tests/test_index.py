@@ -458,6 +458,40 @@ class TestPersistence:
         assert {i: again.get_document(i) for i in again.all_ids()} == first
         again.close()
 
+    def test_replayed_documents_of_one_import_share_their_metadata(self, tmp_path):
+        meta = ChunkMetadata(layer=parse_layer_path("/a"), tags=frozenset({"t"}),
+                             properties={"p": "1"}, import_timestamp=1500000000000,
+                             format=Format.GEOJSON)
+        other = replace(meta, import_timestamp=1500000000001)  # a second import
+        docs = [replace(make_doc(i), metadata=meta if i < 3 else other) for i in range(5)]
+        index = ChunkIndex(tmp_path / "idx")
+        index.add_documents(docs)
+        index.close()
+        reopened = ChunkIndex(tmp_path / "idx")
+        first, second, third, fourth, fifth = (reopened.get_document(d.chunk_id).metadata
+                                               for d in docs)
+        assert first is second is third and fourth is fifth
+        assert (first, fourth) == (meta, other)
+        reopened.close()
+
+    def test_update_after_replay_leaves_import_siblings_unchanged(self, tmp_path):
+        meta = ChunkMetadata(layer=parse_layer_path("/a"), tags=frozenset({"t"}),
+                             properties={"p": "1"}, import_timestamp=1500000000000,
+                             format=Format.GEOJSON)
+        docs = [replace(make_doc(i), metadata=meta) for i in range(3)]
+        index = ChunkIndex(tmp_path / "idx")
+        index.add_documents(docs)
+        index.close()
+        reopened = ChunkIndex(tmp_path / "idx")
+        delta = MetadataDelta(set_properties={"p": "2"}, add_tags=frozenset({"u"}))
+        reopened.update_metadata([docs[0].chunk_id], delta)
+        assert reopened.get_document(docs[0].chunk_id).metadata == meta.with_delta(delta)
+        for doc in docs[1:]:
+            assert reopened.get_document(doc.chunk_id).metadata == meta
+        assert reopened.query(parse_query("EQ(p 1)")) == [d.chunk_id for d in docs[1:]]
+        assert reopened.query(parse_query("u")) == [docs[0].chunk_id]
+        reopened.close()
+
     def test_compaction_preserves_documents(self, tmp_path):
         docs = self._docs()
         index = ChunkIndex(tmp_path / "idx", compact_after_ops=10)
@@ -844,6 +878,29 @@ class TestMemory:
             tracemalloc.stop()
         index.close()
         return held / n
+
+    @staticmethod
+    def _replayed_bytes_per_document(root, n) -> float:
+        """Traced bytes the index reopened from ``root`` holds per document."""
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            index = ChunkIndex(root, fsync=False)
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(index) == n
+        index.close()
+        return held / n
+
+    def test_a_replayed_document_costs_what_an_added_one_does(self, tmp_path):
+        if tracemalloc.is_tracing():
+            pytest.skip("tracemalloc is already tracing")
+        added = self._bytes_per_document(tmp_path / "idx", 2000)
+        replayed = self._replayed_bytes_per_document(tmp_path / "idx", 2000)
+        assert abs(replayed - added) <= 0.05 * added, (added, replayed)
 
     def test_index_bytes_per_document_are_bounded_and_linear(self, tmp_path):
         if tracemalloc.is_tracing():

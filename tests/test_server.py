@@ -1,3 +1,4 @@
+import gc
 import http.client
 import io
 import json
@@ -9,10 +10,12 @@ import socket
 import threading
 import time
 import xml.etree.ElementTree as ET
+from collections import Counter
 
 import pytest
 import requests
 
+from georocket.errors import GeoRocketError, StorageError
 from georocket.indexer import build_document
 from georocket.model import Format, MetadataDelta, parse_layer_path
 from georocket.query import parse_query
@@ -680,6 +683,151 @@ class TestIndexWorker:
         finally:
             release.set()
             app.close()
+
+
+    @staticmethod
+    def _fs_config(tmp_path, **overrides) -> ServerConfig:
+        return ServerConfig(store_backend="filesystem", store_path=str(tmp_path / "s"),
+                            index_path=str(tmp_path / "i"), **overrides)
+
+    def test_a_failed_batch_removes_every_chunk_of_its_import(self, tmp_path):
+        config = self._fs_config(tmp_path, index_batch_size=4)
+        app = GeoRocketApp(config)
+        add = app.index.add_documents
+        batches = []
+        release = threading.Event()
+
+        def second_batch_fails(docs):
+            batches.append(len(docs))
+            if len(batches) == 1:
+                release.wait(10)  # the rest of the import queues up behind this batch
+            elif len(batches) == 2:
+                raise RuntimeError("index unavailable")
+            return add(docs)
+
+        app.index.add_documents = second_batch_fails
+        try:
+            task = app.import_stream(parse_layer_path("/f"), [make_geojson(12)])
+            release.set()
+            deadline = time.time() + 10
+            while not task.is_terminal() and time.time() < deadline:
+                time.sleep(0.01)
+            assert task.state is TaskState.FAILED
+            assert len(app.index) == 0  # the first batch was indexed, then removed
+        finally:
+            release.set()
+            app.close()  # drains the queue: the third batch's chunks are deleted
+        assert len(batches) == 2 and batches[1] == 4, batches
+        reopened = GeoRocketApp(config)
+        try:
+            assert list(reopened.store.scan()) == []
+            assert len(reopened.index) == 0
+        finally:
+            reopened.close()
+
+    def test_an_import_whose_task_failed_stops_splitting(self, tmp_path):
+        app = GeoRocketApp(self._fs_config(tmp_path, index_batch_size=1, index_queue_size=1))
+
+        def failing_add(docs):
+            raise RuntimeError("index unavailable")
+
+        app.index.add_documents = failing_add
+        stored = []
+        put = app.store.put
+        app.store.put = lambda entry: (stored.append(entry.id), put(entry))
+        try:
+            with pytest.raises(GeoRocketError, match="failed while indexing"):
+                app.import_stream(parse_layer_path("/f"), [make_geojson(200)])
+            assert 0 < len(stored) < 10
+        finally:
+            app.close()
+        assert list(app.store.scan()) == []
+
+
+class TestGarbageCollector:
+    def test_a_frozen_heap_holds_no_cyclic_garbage(self, server_factory, tmp_path, monkeypatch):
+        monkeypatch.setattr(_Handler, "timeout", 0.5)
+        gc.collect()
+        srv = server_factory(store_backend="filesystem", store_path=str(tmp_path / "s"),
+                             index_path=str(tmp_path / "i"))
+        srv.app.index._compact_after_ops = 30
+        features = make_geojson(25)
+        for n in range(3):
+            import_and_wait(srv.url, "/store/gc", features)
+            bad = requests.post(srv.url + "/store/gc", data=features[:-40])  # some chunks written
+            assert bad.status_code == 400
+            assert requests.get(srv.url + "/store/gc?search=EQ(height 5.5)").status_code == 200
+            exported = requests.get(srv.url + "/store/gc?format=geojson")
+            assert len(json.loads(exported.content)["features"]) == 25
+            updated = requests.put(srv.url + f"/store/gc?search=&tags=round{n}")
+            assert updated.json() == {"updated": 25}
+            assert requests.delete(srv.url + "/store/gc?search=&all=true").status_code == 200
+            with socket.create_connection(srv.httpd.server_address[:2], timeout=3) as sock:
+                sock.sendall(b"POST /store/gc HTTP/1.1\r\nHost: x\r\nContent-Length: %d\r\n"
+                             b"\r\n%s" % (len(features), features[:1000]))
+                assert sock.recv(65536).startswith(b"HTTP/1.1 408 ")
+        deadline = time.time() + 10
+        while (list(srv.app.store.scan())
+               or not all(t.is_terminal() for t in list(srv.app.tasks._tasks.values()))):
+            assert time.time() < deadline
+            time.sleep(0.02)
+        assert srv.app.index.compactions >= 3
+        gc.collect()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            gc.unfreeze()
+            found = gc.collect()
+            garbage = Counter(type(o).__name__ for o in gc.garbage)
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+        assert found == 0, garbage.most_common(20)
+
+    def test_startup_and_each_compaction_freeze_the_heap(self, tmp_path):
+        gc.unfreeze()
+        app = GeoRocketApp(ServerConfig(index_path=str(tmp_path / "i")))
+        try:
+            at_start = gc.get_freeze_count()
+            assert at_start > 0
+            layer = parse_layer_path("/f")
+            finish(app.import_stream(layer, [make_geojson(20)]))
+            assert app.index.compactions == 0
+            app.index._compact_after_ops = 1
+            app.update_metadata(layer, "", MetadataDelta(add_tags=frozenset({"t"})))
+            assert app.index.compactions == 1
+            after_update = gc.get_freeze_count()
+            assert after_update > at_start
+            # the worker settles too, once the task has finished
+            finish(app.import_stream(layer, [make_geojson(20)]))
+            deadline = time.time() + 10
+            while gc.get_freeze_count() <= after_update:
+                assert time.time() < deadline
+                time.sleep(0.01)
+            assert app.index.compactions > 1
+        finally:
+            app.close()
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_construction_restores_the_collector_state(self, tmp_path, monkeypatch, enabled):
+        from georocket.server import app as app_module
+
+        seen = []
+        index_class, reconcile_fn = app_module.ChunkIndex, app_module.reconcile
+        monkeypatch.setattr(app_module, "ChunkIndex",
+                            lambda *a: (seen.append(gc.isenabled()), index_class(*a))[1])
+        monkeypatch.setattr(app_module, "reconcile",
+                            lambda *a: (seen.append(gc.isenabled()), reconcile_fn(*a))[1])
+        (tmp_path / "not-a-directory").write_bytes(b"")
+        (gc.enable if enabled else gc.disable)()
+        try:
+            GeoRocketApp(ServerConfig(index_path=str(tmp_path / "i"))).close()
+            assert gc.isenabled() is enabled
+            with pytest.raises(StorageError):
+                GeoRocketApp(ServerConfig(index_path=str(tmp_path / "not-a-directory")))
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable()
+        assert seen == [False, False, False]  # open, reconcile, the failed open
 
 
 class TestConcurrentImports:
