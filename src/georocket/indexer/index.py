@@ -318,10 +318,14 @@ class ChunkIndex:
                 matched = self._docs if isinstance(ast, MatchAll) else self._eval(ast)
             else:
                 prefix, n = layer.segments, len(layer.segments)
-                allowed = set().union(*(
-                    ids for path, ids in self._layer_ids.items() if path[:n] == prefix
-                ))
-                matched = allowed if isinstance(ast, MatchAll) else self._eval(ast) & allowed
+                layers = [ids for path, ids in self._layer_ids.items() if path[:n] == prefix]
+                if isinstance(ast, MatchAll):
+                    matched = set().union(*layers)
+                else:
+                    # each intersection walks the smaller set, so a query
+                    # costs its hits, not the size of the layer subtree
+                    hits = self._eval(ast)
+                    matched = set().union(*(hits & ids for ids in layers))
             return sorted(matched, key=self._order.__getitem__)
 
     def _eval(self, node: QueryNode) -> set[str]:

@@ -23,6 +23,16 @@ the connection without the terminal chunk so clients cannot mistake a
 truncated document for a complete one. Errors are JSON
 ``{"error": {"code", "message", "offset"?}}``. When all request slots are
 busy the server answers 503 instead of queueing unboundedly.
+
+Threads: a pool of ``max_concurrent_requests`` threads, named
+``georocket-http-N``, starts with the server and lives as long as it. The
+accept loop hands each accepted connection to the pool thread that became
+idle last, which serves every request on it and then waits for the next
+connection, so no request pays for starting or ending a thread. A connection that arrives
+while every pool thread holds one (an overflow connection) gets a thread of
+its own that exits when the connection closes: requests exempt from the
+slots (``GET /`` and ``/tasks``) are then still answered, and the others
+get the 503.
 """
 
 from __future__ import annotations
@@ -30,10 +40,11 @@ from __future__ import annotations
 import contextlib
 import json
 import logging
+import queue
 import re
 import threading
 import zlib
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import BaseHTTPRequestHandler, HTTPServer
 from urllib.parse import parse_qs, unquote, urlsplit
 
 from .. import __version__
@@ -100,9 +111,9 @@ class _Handler(BaseHTTPRequestHandler):
     # handle_one_request flushes wfile after each request
     wbufsize = _WRITE_BUFFER
     # seconds a read or a write may wait; an idle kept-alive connection or
-    # a stalled upload is then closed and its thread freed, and so is a
-    # client that stops reading a response, which then ends without its
-    # terminal chunk
+    # a stalled upload is then closed and its thread returns to the pool (an
+    # overflow connection's thread exits), and so is a client that stops
+    # reading a response, which then ends without its terminal chunk
     timeout = 60
     _body_unread = False  # a declared request body not yet read to its end
 
@@ -397,13 +408,77 @@ def _gunzip(blocks):
         raise UnsupportedEncodingError(f"invalid gzip body: {e}") from e
 
 
-class GeoRocketHTTPServer(ThreadingHTTPServer):
-    daemon_threads = True
+class GeoRocketHTTPServer(HTTPServer):
+    """Serves connections on a pool of long-lived threads (see the module
+    docstring); ``server_close()`` ends the idle ones, and a busy one ends
+    when its connection closes."""
+
     allow_reuse_address = True
 
     def __init__(self, config: ServerConfig, app: GeoRocketApp | None = None):
         self.app = app or GeoRocketApp(config)
         super().__init__((config.host, config.port), _Handler)
+        self._pool_lock = threading.Condition(threading.Lock())
+        self._unclaimed = 0  # connections handed to a pool thread that has not woken yet
+        inboxes = [queue.SimpleQueue() for _ in range(config.max_concurrent_requests)]
+        # the inboxes of the idle pool threads, georocket-http-0 on top at the
+        # start and then the last one to finish: a light load stays on a few
+        # threads with warm stacks, and on the first ones started, which got
+        # malloc arenas of their own (later ones share arenas past glibc's
+        # limit of 8 per core, which raised the benchmark's peak RSS)
+        self._idle = inboxes[::-1]
+        self._closed = False
+        self.pool_threads = [
+            threading.Thread(target=self._pool_worker, args=(inbox,), daemon=True,
+                             name=f"georocket-http-{n}")
+            for n, inbox in enumerate(inboxes)  # an inbox takes (socket, address), or None: exit
+        ]
+        for thread in self.pool_threads:
+            thread.start()
+
+    def process_request(self, request, client_address) -> None:
+        with self._pool_lock:
+            inbox = self._idle.pop() if self._idle else None
+            if inbox is not None:
+                self._unclaimed += 1
+            else:
+                # an overflow thread runs at once, so first let every handed-off
+                # connection reach its thread: a later connection must not
+                # overtake an earlier one and take the slot it was to hold
+                self._pool_lock.wait_for(lambda: not self._unclaimed)
+        if inbox is not None:
+            inbox.put((request, client_address))
+        else:
+            threading.Thread(target=self._serve, args=(request, client_address),
+                             daemon=True).start()
+
+    def _serve(self, request, client_address) -> None:
+        try:
+            self.finish_request(request, client_address)
+        except Exception:
+            self.handle_error(request, client_address)
+        finally:
+            self.shutdown_request(request)
+
+    def _pool_worker(self, inbox: queue.SimpleQueue) -> None:
+        while (item := inbox.get()) is not None:
+            with self._pool_lock:
+                self._unclaimed -= 1
+                if not self._unclaimed:
+                    self._pool_lock.notify()
+            self._serve(*item)
+            with self._pool_lock:
+                if self._closed:
+                    return
+                self._idle.append(inbox)
+
+    def server_close(self) -> None:
+        super().server_close()
+        with self._pool_lock:
+            self._closed = True
+            idle, self._idle = self._idle, []
+        for inbox in idle:
+            inbox.put(None)
 
 
 class EmbeddedServer:

@@ -22,9 +22,21 @@ def unfrozen_heap():
     gc.unfreeze()
 
 
+def wait_for_pool_exit(srv: EmbeddedServer, timeout: float = 5.0) -> list:
+    """The stopped server's pool threads still alive after up to ``timeout`` s."""
+    deadline = time.monotonic() + timeout
+    while (alive := [t for t in srv.httpd.pool_threads if t.is_alive()]) \
+            and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return alive
+
+
 @pytest.fixture
 def server_factory():
-    """Start embedded servers on ephemeral ports; stopped at teardown."""
+    """Start embedded servers on ephemeral ports; stopped at teardown.
+
+    A pool thread still alive after the stop holds a connection its test
+    left open, and fails the test."""
     servers = []
 
     def start(**overrides) -> EmbeddedServer:
@@ -36,6 +48,9 @@ def server_factory():
     yield start
     for srv in servers:
         srv.stop()
+    leaked = [t.name for srv in servers for t in wait_for_pool_exit(srv)]
+    if leaked:
+        pytest.fail(f"pool threads alive after the server stopped: {leaked}")
 
 
 @pytest.fixture

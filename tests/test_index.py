@@ -100,6 +100,40 @@ class TestAddAndQuery:
         assert set(in_root) == {"C0001", "C0002"}
         assert index.query(parse_query(""), parse_layer_path("/a/b/c")) == []
 
+    def test_layer_scoped_queries_match_the_oracle(self, tmp_path):
+        # /ab shares the string prefix of /a but is not in its subtree
+        layers = ["/", "/a", "/a/b", "/a/b/c", "/ab", "/ab/b"]
+        docs = {
+            f"C{i:04d}": make_doc(
+                i, layer=layers[i % len(layers)], tags=("even",) if i % 2 == 0 else (),
+                properties={"n": str(i)}, tokens=("alpha", f"w{i % 3}"),
+                ts=1500000000000 + (i % 4) * 1000, bbox=BoundingBox(i, i, i + 1, i + 1))
+            for i in range(1, 61)
+        }
+        queries = ["w1", "10,10,30,30", "LT(n 25)", "NOT(even)", "AND(w0 GTE(n 12))",
+                   "NOT(AND(even 5,5,40,40))", "nothing", ""]
+
+        def check(index):
+            for path in ("/a", "/a/b", "/ab"):
+                layer = parse_layer_path(path)
+                for q in queries:
+                    ast = parse_query(q)
+                    assert index.query(ast, layer) == oracle_ids(docs.values(), ast, layer), \
+                        (q, path)
+
+        index = ChunkIndex(tmp_path / "idx")
+        index.add_documents(docs.values())
+        check(index)
+        gone = [cid for cid in docs if int(cid[1:]) % 5 == 0]
+        index.delete(gone)
+        for cid in gone:
+            del docs[cid]
+        check(index)
+        index.close()
+        reopened = ChunkIndex(tmp_path / "idx")
+        check(reopened)
+        reopened.close()
+
     def test_result_ordering(self):
         index = ChunkIndex()
         docs = [

@@ -7,6 +7,7 @@ import math
 import re
 import shutil
 import socket
+import sys
 import threading
 import time
 import xml.etree.ElementTree as ET
@@ -23,7 +24,7 @@ from georocket.server import EmbeddedServer, GeoRocketApp, ServerConfig, TaskSta
 from georocket.server.httpd import _Handler
 from georocket.store import StoredEntry
 
-from conftest import wait_for_task
+from conftest import wait_for_pool_exit, wait_for_task
 from gendata import make_citygml, make_geojson
 
 
@@ -336,14 +337,17 @@ class TestConnections:
         assert response.endswith(b'{"deleted": 0}')
         assert closed
 
-    def test_unread_body_of_refused_upload_is_not_run_as_a_request(self, server_factory):
+    def test_unread_body_of_refused_upload_is_not_run_as_a_request(self, server_factory,
+                                                                   monkeypatch):
         srv = server_factory(max_concurrent_requests=1)
         release = threading.Event()
-        started = threading.Event()
+        in_slot = threading.Event()  # set once the upload holds the one slot
+        import_stream = srv.app.import_stream
+        monkeypatch.setattr(srv.app, "import_stream",
+                            lambda *a, **kw: (in_slot.set(), import_stream(*a, **kw))[1])
 
         def slow_body():
             yield b"<r>"
-            started.set()
             release.wait(10)
             yield b"</r>"
 
@@ -352,7 +356,7 @@ class TestConnections:
         )
         uploader.start()
         try:
-            assert started.wait(5)
+            assert in_slot.wait(5)
             response, closed = raw_until_eof(
                 srv, b"POST /store/x HTTP/1.1\r\nHost: x\r\nContent-Length: %d\r\n\r\n%s"
                      % (len(self.SMUGGLED), self.SMUGGLED))
@@ -902,6 +906,104 @@ class TestOverload:
         finally:
             release.set()
             uploader.join()
+
+
+class TestThreadPool:
+    @staticmethod
+    def record_serving_threads(monkeypatch) -> list[str]:
+        names = []
+        do_get = _Handler.do_GET
+
+        def recording(handler):
+            names.append(threading.current_thread().name)
+            do_get(handler)
+
+        monkeypatch.setattr(_Handler, "do_GET", recording)
+        return names
+
+    def test_sequential_requests_start_no_thread(self, server, monkeypatch):
+        names = self.record_serving_threads(monkeypatch)
+        for _ in range(5):
+            assert requests.get(server.url + "/").status_code == 200
+        baseline = threading.active_count()
+        for i in range(50):
+            path = "/" if i % 2 else "/store?search=nothing"
+            assert requests.get(server.url + path).status_code == 200
+        assert threading.active_count() == baseline
+        pool = {t.name for t in server.httpd.pool_threads}
+        assert len(pool) == 32
+        assert len(names) == 55 and set(names) <= pool
+        # the thread that became idle last is handed the next connection,
+        # so sequential clients keep to a few of the 32
+        assert names[0] == "georocket-http-0" and len(set(names)) < 16
+        assert all(re.fullmatch(r"georocket-http-\d+", name) for name in pool)
+
+    def test_concurrent_clients_return_every_thread_to_the_pool(self, server_factory):
+        srv = server_factory(max_concurrent_requests=4)
+        statuses = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            def client():
+                for _ in range(25):
+                    statuses.append(requests.get(srv.url + "/").status_code)
+
+            clients = [threading.Thread(target=client) for _ in range(8)]
+            for t in clients:
+                t.start()
+            for t in clients:
+                t.join(30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in clients)
+        assert statuses == [200] * 200
+        deadline = time.monotonic() + 5
+        while len(srv.httpd._idle) < 4 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert len(srv.httpd._idle) == 4  # a lost update would leave it off by one
+
+    def test_overflow_connections_are_served_beside_a_busy_pool(self, server_factory,
+                                                                monkeypatch):
+        srv = server_factory(max_concurrent_requests=1)
+        names = self.record_serving_threads(monkeypatch)
+        release = threading.Event()
+        in_slot = threading.Event()  # set once the upload holds the one slot
+        import_stream = srv.app.import_stream
+        monkeypatch.setattr(srv.app, "import_stream",
+                            lambda *a, **kw: (in_slot.set(), import_stream(*a, **kw))[1])
+
+        def slow_body():
+            yield b"<r>"
+            release.wait(10)
+            yield b"</r>"
+
+        uploader = threading.Thread(
+            target=lambda: requests.post(srv.url + "/store/slow", data=slow_body())
+        )
+        uploader.start()
+        try:
+            assert in_slot.wait(5)
+            assert requests.get(srv.url + "/store?search=x").status_code == 503
+            assert requests.get(srv.url + "/").status_code == 200
+        finally:
+            release.set()
+            uploader.join(10)
+        assert not uploader.is_alive()
+        assert len(names) == 2
+        assert "georocket-http-0" not in names  # the one pool thread held the upload
+
+    def test_stop_does_not_wait_for_an_idle_connection(self, server_factory, monkeypatch):
+        srv = server_factory(max_concurrent_requests=4)
+        names = self.record_serving_threads(monkeypatch)
+        with socket.create_connection(srv.httpd.server_address[:2], timeout=3) as held:
+            held.sendall(b"GET / HTTP/1.1\r\nHost: x\r\n\r\n")
+            assert held.recv(65536).startswith(b"HTTP/1.1 200 ")
+            started = time.monotonic()
+            srv.stop()
+            assert time.monotonic() - started < 5  # the read timeout is 60 s
+            alive = wait_for_pool_exit(srv, timeout=2)
+            assert [t.name for t in alive] == names  # only the one holding the connection
+        assert wait_for_pool_exit(srv) == []
 
 
 class TestHealth:
