@@ -2,8 +2,34 @@
 
 Extraction is schema-agnostic: it scans for known patterns (coordinate
 elements, generic attribute elements, GeoJSON properties) instead of
-interpreting a specific schema. An XML chunk is read in one ``pyexpat``
-pass, a GeoJSON chunk with ``json``.
+interpreting a specific schema. Every chunk yields a bounding box over its
+positions, typed attributes and the token set of its text.
+
+Extraction is the largest stage of an import, and its cost is the Python
+run per node, so both passes keep that small and hand whole runs of data
+to C-level code (``str.split``, ``map``, ``min``, ``set``):
+
+- XML is read in one ``pyexpat`` pass. Each tag is classified once per parse
+  (geometry, ``value``, ``*Attribute`` or plain) in a dict. Only elements
+  that carry ``srsDimension`` or a generic attribute's name push a frame.
+  Until one of those, a geometry or a ``value`` opens, lean handlers serve
+  the elements. Character data goes straight to a list's ``append`` unless
+  markup appears inside a geometry or a ``value``. The text of a geometry
+  without inner markup is sliced off that list when it ends; a run of whole
+  positions of plain decimal numerals (``-12.5``) skips the tokenizer's
+  regex, and its distinct numerals give the tokens and, converted once each,
+  the box. Any other geometry text is split and converted number by number.
+- GeoJSON is decoded with ``json`` and walked by the type of each value; the
+  ``properties`` object is flattened into attributes in the same walk. Under
+  a ``coordinates`` key a list of positions is taken whole after C-level
+  type checks. Number texts (``repr``) that are plain decimals become tokens
+  without the regex, and a string is tried as a date only when it starts
+  with a digit (``str.isdigit`` covers every ``\\d``).
+
+The box comes from C-level ``min`` and ``max`` over the x and y lists once a
+finite sum shows that every coordinate is finite. The projection is the one
+a plain walk over every node gives; ``tests/extract_reference.py`` keeps such
+a walk, and the tests compare the two.
 """
 
 from __future__ import annotations
@@ -13,6 +39,8 @@ import json
 import math
 import re
 import sys
+from itertools import chain
+from operator import itemgetter
 from xml.parsers import expat
 
 from ..model import BoundingBox, Format, TypedValue
@@ -40,173 +68,18 @@ def _extract(fmt: Format, content: bytes):
     return _geojson_extract(content)
 
 
-# --- XML ----------------------------------------------------------------
-
-_GEOMETRY_NAMES = {"posList", "pos", "coordinates", "lowerCorner", "upperCorner"}
-_NUMBER_SPLIT = re.compile(r"[\s,]+")
-
-
-def _xml_extract(content: bytes):
-    """Single pass over an XML chunk feeding bbox, attribute, and token
-    extraction. Malformed content yields what was read before the error;
-    absence of patterns is not an error."""
-    points: list = []
-    attributes: list[IndexedAttribute] = []
-    # token text: character data and attribute values, with a space at every
-    # markup boundary so that no token spans two text runs
-    texts: list[str] = []
-    frames: list[tuple[str, int, str | None]] = []  # (local name, dim, attribute key)
-    geom_depth = 0  # > 0 while inside a coordinate-bearing element
-    geom_dim = 2
-    geom_text: list[str] = []
-    value_depth = 0  # > 0 while inside <value> of a generic attribute
-    value_key: str | None = None
-    value_text: list[str] = []
-
-    def start(tag, attrs):
-        nonlocal geom_depth, geom_dim, value_depth, value_key
-        name = tag.rpartition(":")[2]
-        dim = frames[-1][1] if frames else 2
-        attr_key = None
-        texts.append(" ")
-        if attrs:
-            pairs = iter(attrs)
-            for key, value in zip(pairs, pairs):
-                short = key.rpartition(":")[2]
-                if short == "srsDimension":
-                    try:
-                        dim = max(1, int(value.strip()))
-                    except ValueError:
-                        pass
-                elif short == "name" and name.endswith("Attribute"):
-                    attr_key = sys.intern(value)
-                texts.append(value)
-                texts.append(" ")
-        frames.append((name, dim, attr_key))
-        if name in _GEOMETRY_NAMES:
-            if geom_depth == 0:
-                geom_dim = dim
-            geom_depth += 1
-        if name == "value":
-            if value_depth > 0:
-                value_depth += 1
-            else:
-                key = next((k for _, _, k in reversed(frames) if k is not None), None)
-                if key is not None:
-                    value_key = key
-                    value_depth = 1
-
-    def end(tag):
-        nonlocal geom_depth, value_depth, value_key
-        name = frames.pop()[0]
-        texts.append(" ")
-        if name in _GEOMETRY_NAMES and geom_depth:
-            geom_depth -= 1
-            if geom_depth == 0:
-                _collect_points("".join(geom_text), geom_dim, points)
-                geom_text.clear()
-        if name == "value" and value_depth:
-            value_depth -= 1
-            if value_depth == 0:
-                attributes.append(
-                    IndexedAttribute(value_key, TypedValue.from_text("".join(value_text).strip()))
-                )
-                value_text.clear()
-                value_key = None
-
-    def text(data):
-        texts.append(data)
-        if geom_depth:
-            geom_text.append(data)
-        if value_depth:
-            value_text.append(data)
-
-    def boundary(*_):
-        texts.append(" ")
-
-    parser = expat.ParserCreate()
-    parser.UseForeignDTD(True)
-    parser.ordered_attributes = True
-    parser.buffer_text = True
-    parser.StartElementHandler = start
-    parser.EndElementHandler = end
-    parser.CharacterDataHandler = text
-    # an undeclared entity reads as its HTML meaning (&nbsp; is a space)
-    parser.SkippedEntityHandler = lambda name, _: text(html.unescape(f"&{name};"))
-    parser.CommentHandler = boundary
-    parser.ProcessingInstructionHandler = boundary
-    parser.StartCdataSectionHandler = boundary
-    parser.EndCdataSectionHandler = boundary
+def _bbox(xs: list, ys: list) -> BoundingBox | None:
+    """Box over the positions ``zip(xs, ys)``; positions with a component
+    that is not finite (or an integer beyond the float range) are left out."""
+    if not xs:
+        return None
     try:
-        parser.Parse(content, True)
-    except expat.ExpatError:
-        parser.buffer_text = False  # delivers the text read before the error
-
-    bbox = BoundingBox.from_points(points) if points else None
-    return bbox, attributes, tokenize("".join(texts))
-
-
-def _collect_points(text: str, dim: int, points: list) -> None:
-    try:
-        numbers = [float(p) for p in _NUMBER_SPLIT.split(text.strip()) if p]
-    except ValueError:
-        return
-    end = len(numbers) - len(numbers) % dim
-    xs = numbers[0:end:dim]
-    points.extend(zip(xs, numbers[1:end:dim] if dim > 1 else xs))
-
-
-# --- GeoJSON ------------------------------------------------------------
-
-
-def _geojson_extract(content: bytes):
-    texts: list[str] = []
-    points: list = []
-    attributes: list[IndexedAttribute] = []
-    try:
-        obj = json.loads(content)
-        _geojson_scan(obj, texts, points, in_coordinates=False)
-        props = obj.get("properties") if isinstance(obj, dict) else None
-        if isinstance(props, dict):
-            _flatten_properties("", props, attributes)
-    except (ValueError, RecursionError):
-        # not UTF-8 (the splitter keeps such bytes inside strings), or nested
-        # deeper than the interpreter's recursion limit
-        return None, [], set()
-    bbox = BoundingBox.from_points(points) if points else None
-    return bbox, attributes, tokenize(" ".join(texts))
-
-
-def _geojson_scan(node, texts: list, points: list, in_coordinates: bool) -> None:
-    """Collect the text of all string/number values and positions under
-    any ``coordinates`` key."""
-    if isinstance(node, dict):
-        for key, value in node.items():
-            _geojson_scan(value, texts, points, key == "coordinates" or in_coordinates)
-    elif isinstance(node, list):
-        if in_coordinates and _is_position(node):
-            points.append((_as_float(node[0]), _as_float(node[1])))
-            texts.extend(_number_text(n) for n in node)
-            return
-        for item in node:
-            _geojson_scan(item, texts, points, in_coordinates)
-    elif isinstance(node, str):
-        texts.append(node)
-    elif isinstance(node, bool):
-        pass
-    elif isinstance(node, (int, float)):
-        texts.append(_number_text(node))
-
-
-def _is_position(node: list) -> bool:
-    return (
-        len(node) >= 2
-        and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in node)
-    )
-
-
-def _number_text(n) -> str:
-    return str(n) if isinstance(n, int) else repr(n)
+        finite = math.isfinite(sum(xs, 0.0) + sum(ys, 0.0))
+    except OverflowError:  # an integer beyond the float range
+        finite = False
+    if finite:
+        return BoundingBox(float(min(xs)), float(min(ys)), float(max(xs)), float(max(ys)))
+    return BoundingBox.from_points(zip(map(_as_float, xs), map(_as_float, ys)))
 
 
 def _as_float(n) -> float:
@@ -218,8 +91,372 @@ def _as_float(n) -> float:
         return math.inf if n > 0 else -math.inf
 
 
-def _flatten_properties(prefix: str, obj: dict, attributes: list) -> None:
-    """Flatten nested objects with dot-joined keys and type the leaves.
+# --- XML ----------------------------------------------------------------
+
+_GEOMETRY_NAMES = {"posList", "pos", "coordinates", "lowerCorner", "upperCorner"}
+_NUMBER_SPLIT = re.compile(r"[\s,]+")
+
+
+def _plain_positions(dim: int) -> re.Pattern:
+    """Text of whole ``dim``-number positions, every number a plain decimal
+    numeral (``-12.5``) followed by a separator or the end: its floats come
+    from ``split()``, and each numeral's token is itself without its sign."""
+    number = r"-?[0-9]++(?:\.[0-9]++)?+"
+    sep = r"[ \t\r\n,]++"
+    return re.compile(rf"[ \t\r\n,]*+(?:(?:{number}{sep}){{{dim - 1}}}{number}(?:{sep}|\Z))*+")
+
+
+_PLAIN_POSITIONS = {2: _plain_positions(2), 3: _plain_positions(3)}
+
+_PLAIN, _GEOMETRY, _VALUE, _ATTRIBUTE = range(4)
+_SRS_DIMENSION, _NAME = 1, 2
+
+
+def _tag_kind(tag: str) -> int:
+    name = tag.rpartition(":")[2]
+    if name in _GEOMETRY_NAMES:
+        return _GEOMETRY
+    if name == "value":
+        return _VALUE
+    return _ATTRIBUTE if name.endswith("Attribute") else _PLAIN
+
+
+def _attribute_kind(key: str) -> int:
+    short = key.rpartition(":")[2]
+    return _SRS_DIMENSION if short == "srsDimension" else _NAME if short == "name" else 0
+
+
+def _xml_extract(content: bytes):
+    """Single pass over an XML chunk feeding bbox, attribute, and token
+    extraction. Malformed content yields what was read before the error;
+    absence of patterns is not an error."""
+    xs: list = []
+    ys: list = []
+    attributes: list[IndexedAttribute] = []
+    # token text: character data and attribute values, with a space at every
+    # markup boundary so that no token spans two text runs
+    texts: list[str] = []
+    texts_append = texts.append
+    kinds: dict = {}  # tag -> _PLAIN, _GEOMETRY, _VALUE or _ATTRIBUTE
+    attribute_kinds: dict = {}  # attribute name -> 0, _SRS_DIMENSION or _NAME
+    # (depth, srsDimension, generic attribute name) in scope, pushed by the
+    # elements that set either; the sentinel holds the defaults
+    frames: list = [(0, 2, None)]
+    # While a frame, a geometry or a value is open, ``start`` and ``end``
+    # handle every element, and depth counts from the element that opened
+    # it; otherwise ``start_outside`` and ``end_outside`` do.
+    depth = 0
+    geom_depth = 0  # > 0 while inside a coordinate-bearing element
+    geom_dim = 2
+    geom_text: list[str] = []
+    value_depth = 0  # > 0 while inside <value> of a generic attribute
+    value_key: str | None = None
+    value_text: list[str] = []
+    # A geometry or value opened outside the other and without markup inside
+    # so far is flat: its text is texts[flat_mark:], and character data goes
+    # straight to texts. Markup inside one switches to ``text``, which also
+    # fills geom_text and value_text.
+    flat = False
+    flat_mark = 0
+    plain: list[str] = []  # geometry texts matching _PLAIN_POSITIONS[plain_dim]
+    plain_dim = 0
+    numerals: set[str] = set()  # their numbers, for the tokens
+
+    def start_outside(tag, attrs):
+        nonlocal depth
+        if attrs or kinds.get(tag, True):
+            depth = 0
+            start(tag, attrs)
+            if geom_depth or value_depth or len(frames) > 1:
+                parser.StartElementHandler = start
+                parser.EndElementHandler = end
+        else:
+            texts_append(" ")
+
+    def end_outside(tag):
+        texts_append(" ")
+
+    def start(tag, attrs):
+        nonlocal depth, geom_depth, geom_dim, value_depth, value_key, flat, flat_mark
+        depth += 1
+        if flat:
+            unflatten()
+        kind = kinds.get(tag)
+        if kind is None:
+            kind = kinds[tag] = _tag_kind(tag)
+        if attrs:
+            texts.extend((" ", " ".join(attrs[1::2]), " "))
+            pairs = iter(attrs)
+            for key, value in zip(pairs, pairs):
+                akind = attribute_kinds.get(key)
+                if akind is None:
+                    akind = attribute_kinds[key] = _attribute_kind(key)
+                if akind:
+                    push(akind, kind, value)
+        else:
+            texts_append(" ")
+        if kind == _GEOMETRY:
+            geom_depth += 1
+            if geom_depth == 1:
+                geom_dim = frames[-1][1]
+                if not value_depth:
+                    flat, flat_mark = True, len(texts)
+        elif kind == _VALUE:
+            if value_depth:
+                value_depth += 1
+            elif frames[-1][2] is not None:
+                value_key = frames[-1][2]
+                value_depth = 1
+                if not geom_depth:
+                    flat, flat_mark = True, len(texts)
+
+    def push(akind, kind, value):
+        _, dim, key = frames[-1]
+        if akind == _SRS_DIMENSION:
+            try:
+                dim = max(1, int(value.strip()))
+            except ValueError:
+                return
+        elif kind == _ATTRIBUTE:
+            key = sys.intern(value)
+        else:
+            return
+        if frames[-1][0] == depth:
+            frames[-1] = (depth, dim, key)
+        else:
+            frames.append((depth, dim, key))
+
+    def end(tag):
+        nonlocal depth, geom_depth, value_depth, value_key, flat, plain_dim
+        kind = kinds[tag]
+        if kind == _GEOMETRY:
+            geom_depth -= 1
+            if not geom_depth:
+                if flat:
+                    flat = False
+                    run = "".join(texts[flat_mark:])
+                    pattern = _PLAIN_POSITIONS.get(geom_dim)
+                    if pattern is not None and pattern.fullmatch(run):
+                        del texts[flat_mark:]
+                        if geom_dim != plain_dim:
+                            _add_plain(plain, plain_dim, xs, ys, numerals)
+                            plain_dim = geom_dim
+                        plain.append(run)
+                        run = None
+                else:
+                    run = "".join(geom_text)
+                    geom_text.clear()
+                    if not value_depth:
+                        parser.CharacterDataHandler = texts_append
+                if run is not None:
+                    _add_plain(plain, plain_dim, xs, ys, numerals)
+                    _collect_points(run, geom_dim, xs, ys)
+        elif kind == _VALUE and value_depth:
+            value_depth -= 1
+            if not value_depth:
+                if flat:
+                    flat = False
+                    raw = "".join(texts[flat_mark:])
+                else:
+                    raw = "".join(value_text)
+                    value_text.clear()
+                    if not geom_depth:
+                        parser.CharacterDataHandler = texts_append
+                attributes.append(IndexedAttribute(value_key, TypedValue.from_text(raw.strip())))
+                value_key = None
+        texts_append(" ")
+        if frames[-1][0] == depth:
+            frames.pop()
+        depth -= 1
+        if not depth:  # the element that opened everything in scope
+            parser.StartElementHandler = start_outside
+            parser.EndElementHandler = end_outside
+
+    def text(data):
+        texts_append(data)
+        if geom_depth:
+            geom_text.append(data)
+        if value_depth:
+            value_text.append(data)
+
+    def unflatten():
+        nonlocal flat
+        flat = False
+        (geom_text if geom_depth else value_text).extend(texts[flat_mark:])
+        parser.CharacterDataHandler = text
+
+    def boundary(*_):
+        if flat:
+            unflatten()
+        texts_append(" ")
+
+    parser = expat.ParserCreate()
+    parser.UseForeignDTD(True)
+    parser.ordered_attributes = True
+    parser.buffer_text = True
+    parser.StartElementHandler = start_outside
+    parser.EndElementHandler = end_outside
+    parser.CharacterDataHandler = texts_append
+    # an undeclared entity reads as its HTML meaning (&nbsp; is a space)
+    parser.SkippedEntityHandler = lambda name, _: parser.CharacterDataHandler(
+        html.unescape(f"&{name};"))
+    parser.CommentHandler = boundary
+    parser.ProcessingInstructionHandler = boundary
+    parser.StartCdataSectionHandler = boundary
+    parser.EndCdataSectionHandler = boundary
+    try:
+        parser.Parse(content, True)
+    except expat.ExpatError:
+        parser.buffer_text = False  # delivers the text read before the error
+    finally:
+        # the handlers refer to the parser and to each other: cut those
+        # cycles, so that the pass is freed without the garbage collector
+        parser = start_outside = None
+    _add_plain(plain, plain_dim, xs, ys, numerals)
+
+    # whitespace never joins a token, so tokenize each distinct word once
+    tokens = tokenize(" ".join(set("".join(texts).split())))
+    if numerals:
+        tokens.update(" ".join(numerals).replace("-", "").split())
+    return _bbox(xs, ys), attributes, tokens
+
+
+def _add_plain(runs: list, dim: int, xs: list, ys: list, numerals: set) -> None:
+    """Positions and numerals of geometry texts matching
+    ``_PLAIN_POSITIONS[dim]``; empties ``runs``.
+
+    Positions repeat (a ring ends on its first corner, walls share corners),
+    so each distinct numeral is converted once, and the texts add only their
+    lowest and highest x and y. When one of these is zero, whose sign would
+    depend on which text came first, or is not finite, every position is
+    added instead."""
+    parts = " ".join(runs).replace(",", " ").split()
+    runs.clear()
+    if not parts:
+        return
+    numerals.update(parts)
+    x_values = list(map(float, set(parts[0::dim])))
+    y_values = list(map(float, set(parts[1::dim])))
+    box = (min(x_values), min(y_values), max(x_values), max(y_values))
+    if all(box) and math.isfinite(sum(box)):
+        xs.extend(box[0::2])
+        ys.extend(box[1::2])
+    else:
+        numbers = list(map(float, parts))
+        xs.extend(numbers[0::dim])
+        ys.extend(numbers[1::dim])
+
+
+def _collect_points(text: str, dim: int, xs: list, ys: list) -> None:
+    """Positions of ``dim`` numbers each in a geometry's text; a trailing
+    partial one is dropped, a one-dimensional position is (x, x), and a text
+    with any part that is not a number has none."""
+    try:
+        numbers = [float(p) for p in _NUMBER_SPLIT.split(text.strip()) if p]
+    except ValueError:
+        return
+    end = len(numbers) - len(numbers) % dim
+    xs.extend(numbers[0:end:dim])
+    ys.extend(numbers[1:end:dim] if dim > 1 else numbers[0:end])
+
+
+# --- GeoJSON ------------------------------------------------------------
+
+
+# json.loads is this call plus two Python-level wrappers and whitespace regexes
+_raw_decode = json.JSONDecoder().raw_decode
+_JSON_SPACE = " \t\n\r"
+
+
+def _geojson_extract(content: bytes):
+    texts: list[str] = []
+    numbers: list = []  # ints and floats outside positions
+    positions: list[list] = []
+    attributes: list[IndexedAttribute] = []
+    try:
+        # bytes that are not UTF-8 (the splitter keeps such bytes inside
+        # strings) read as surrogate escapes, as in the splitter
+        text = content.decode("utf-8", "surrogateescape")
+        obj, end = _raw_decode(text, len(text) - len(text.lstrip(_JSON_SPACE)))
+        if text[end:].strip(_JSON_SPACE):
+            raise ValueError("extra data after the JSON value")
+        _scan(obj, texts, numbers, positions, attributes)
+    except (ValueError, RecursionError):
+        # not JSON, or nested deeper than the interpreter's recursion limit
+        return None, [], set()
+    tokens = tokenize(" ".join(texts))
+    # number texts: repr of ints and floats; without an exponent, inf or nan
+    # each is a plain decimal, whose token is itself without its sign
+    numerals = " ".join(map(repr, chain(numbers, chain.from_iterable(positions))))
+    if "e" in numerals or "n" in numerals:
+        tokens.update(tokenize(numerals))
+    else:
+        tokens.update(numerals.replace("-", "").split())
+    xs = list(map(itemgetter(0), positions))
+    ys = list(map(itemgetter(1), positions))
+    return _bbox(xs, ys), attributes, tokens
+
+
+def _scan(node, texts: list, numbers: list, positions: list, attributes=None) -> None:
+    """Collect the text of all string and number values, and the positions
+    under any ``coordinates`` key. Given ``attributes``, ``node`` is the
+    top level, and its ``properties`` object is flattened into them."""
+    t = type(node)
+    if t is dict:
+        for key, value in node.items():
+            t = type(value)
+            if t is str:
+                texts.append(value)
+            elif t is dict or t is list:
+                if key == "coordinates":
+                    _scan_coordinates(value, texts, numbers, positions)
+                elif attributes is not None and key == "properties" and t is dict:
+                    _properties("", value, attributes, texts, numbers, positions,
+                                in_coordinates=False)
+                else:
+                    _scan(value, texts, numbers, positions)
+            elif t is float or t is int:
+                numbers.append(value)
+    elif t is list:
+        for item in node:
+            _scan(item, texts, numbers, positions)
+    elif t is str:
+        texts.append(node)
+    elif t is float or t is int:
+        numbers.append(node)
+    # bool and None: no text
+
+
+_NUMBER_TYPES = frozenset((int, float))
+_LIST_TYPE = frozenset((list,))
+
+
+def _scan_coordinates(node, texts: list, numbers: list, positions: list) -> None:
+    """``_scan`` below a ``coordinates`` key: a list of two or more numbers
+    is a position, and a list of positions is taken whole."""
+    t = type(node)
+    if t is list:
+        if (node and _LIST_TYPE.issuperset(map(type, node)) and min(map(len, node)) >= 2
+                and _NUMBER_TYPES.issuperset(map(type, chain.from_iterable(node)))):
+            positions.extend(node)
+        elif len(node) >= 2 and _NUMBER_TYPES.issuperset(map(type, node)):
+            positions.append(node)
+        else:
+            for item in node:
+                _scan_coordinates(item, texts, numbers, positions)
+    elif t is dict:
+        for value in node.values():
+            _scan_coordinates(value, texts, numbers, positions)
+    elif t is str:
+        texts.append(node)
+    elif t is float or t is int:
+        numbers.append(node)
+
+
+def _properties(prefix: str, obj: dict, attributes: list, texts: list, numbers: list,
+                positions: list, in_coordinates: bool) -> None:
+    """``_scan`` of a feature's ``properties`` that also flattens them into
+    attributes, with dot-joined keys and typed leaves.
 
     Numbers stay numbers; strings are tried as dates, otherwise kept text;
     booleans become the text "true"/"false"; nulls are skipped; arrays are
@@ -227,16 +464,27 @@ def _flatten_properties(prefix: str, obj: dict, attributes: list) -> None:
     """
     for key, value in obj.items():
         full = sys.intern(f"{prefix}.{key}" if prefix else key)
-        if isinstance(value, dict):
-            _flatten_properties(full, value, attributes)
-        elif isinstance(value, bool):
-            attributes.append(IndexedAttribute(full, TypedValue.of_text("true" if value else "false")))
-        elif isinstance(value, (int, float)):
-            attributes.append(IndexedAttribute(full, TypedValue.of_number(_as_float(value))))
-        elif isinstance(value, str):
-            attributes.append(IndexedAttribute(full, TypedValue.from_text(value, numbers=False)))
-        elif isinstance(value, list):
+        t = type(value)
+        if t is str:
+            texts.append(value)
+            # a date starts with a digit, and str.isdigit covers every \d
+            typed = (TypedValue.from_text(value, numbers=False) if value[:1].isdigit()
+                     else TypedValue("text", value))
+            attributes.append(IndexedAttribute(full, typed))
+        elif t is float or t is int:
+            numbers.append(value)
+            attributes.append(IndexedAttribute(full, TypedValue("number", _as_float(value))))
+        elif t is dict:
+            _properties(full, value, attributes, texts, numbers, positions,
+                        in_coordinates or key == "coordinates")
+        elif t is bool:
+            attributes.append(IndexedAttribute(full, TypedValue("text", "true" if value else "false")))
+        elif t is list:
+            if in_coordinates or key == "coordinates":
+                _scan_coordinates(value, texts, numbers, positions)
+            else:
+                _scan(value, texts, numbers, positions)
             attributes.append(
-                IndexedAttribute(full, TypedValue.of_text(json.dumps(value, separators=(",", ":"))))
+                IndexedAttribute(full, TypedValue("text", json.dumps(value, separators=(",", ":"))))
             )
         # None: no value to index

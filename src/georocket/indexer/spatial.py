@@ -22,8 +22,22 @@ def _intersects(a, b) -> bool:
     return not (a[0] > b[2] or a[2] < b[0] or a[1] > b[3] or a[3] < b[1])
 
 
-def _extend(a, b):
-    return (min(a[0], b[0]), min(a[1], b[1]), max(a[2], b[2]), max(a[3], b[3]))
+# sort keys of the STR packing: the doubled center of an entry's or a node's
+# rectangle, so that sorting allocates no tuple per item
+def _entry_center_x(entry):
+    return entry[0][0] + entry[0][2]
+
+
+def _entry_center_y(entry):
+    return entry[0][1] + entry[0][3]
+
+
+def _node_center_x(node):
+    return node.rect[0] + node.rect[2]
+
+
+def _node_center_y(node):
+    return node.rect[1] + node.rect[3]
 
 
 class _Node:
@@ -57,40 +71,36 @@ class StrTree:
     def _build(self, entries) -> _Node:
         leaves = [
             _Node(self._mbr([r for r, _ in page]), entries=page)
-            for page in self._pack([(r, (r, p)) for r, p in entries])
+            for page in self._pack(entries, _entry_center_x, _entry_center_y)
         ]
         level = leaves
         while len(level) > 1:
             level = [
                 _Node(self._mbr([n.rect for n in page]), children=page)
-                for page in self._pack([(n.rect, n) for n in level])
+                for page in self._pack(level, _node_center_x, _node_center_y)
             ]
         return level[0]
 
-    def _pack(self, keyed) -> list[list]:
-        """Cut (rect, item) pairs into pages of at most node_capacity items."""
+    def _pack(self, items, center_x, center_y) -> list[list]:
+        """Cut items into pages of at most node_capacity, by the centers of
+        their rectangles that ``center_x`` and ``center_y`` compute (doubled)."""
         cap = self.node_capacity
-        if len(keyed) <= cap:
-            return [[item for _, item in keyed]]
-        page_count = math.ceil(len(keyed) / cap)
+        if len(items) <= cap:
+            return [list(items)]
+        page_count = math.ceil(len(items) / cap)
         slice_count = math.ceil(math.sqrt(page_count))
         slice_size = slice_count * cap
-        keyed = sorted(keyed, key=lambda kv: kv[0][0] + kv[0][2])  # center x
+        items = sorted(items, key=center_x)
         pages = []
-        for s in range(0, len(keyed), slice_size):
-            vertical = sorted(
-                keyed[s : s + slice_size], key=lambda kv: kv[0][1] + kv[0][3]
-            )  # center y
-            for p in range(0, len(vertical), cap):
-                pages.append([item for _, item in vertical[p : p + cap]])
+        for s in range(0, len(items), slice_size):
+            vertical = sorted(items[s : s + slice_size], key=center_y)
+            pages.extend(vertical[p : p + cap] for p in range(0, len(vertical), cap))
         return pages
 
     @staticmethod
     def _mbr(rects):
-        out = rects[0]
-        for r in rects[1:]:
-            out = _extend(out, r)
-        return out
+        min_x, min_y, max_x, max_y = zip(*rects)
+        return (min(min_x), min(min_y), max(max_x), max(max_y))
 
     def query(self, rect) -> list:
         """Payloads of all entries whose rectangle intersects ``rect``."""
@@ -148,8 +158,7 @@ class SpatialIndex:
 
     def rebuild(self) -> None:
         """Repack everything into one tree; drops tombstones and pending."""
-        self._tree = StrTree(
-            [(r, p) for p, r in self._rects.items()], self.node_capacity
-        )
+        # one (rect, payload) tuple per entry, kept as the tree's leaf entry
+        self._tree = StrTree(list(zip(self._rects.values(), self._rects)), self.node_capacity)
         self._pending.clear()
         self._removed.clear()

@@ -27,8 +27,10 @@ busy the server answers 503 instead of queueing unboundedly.
 Threads: a pool of ``max_concurrent_requests`` threads, named
 ``georocket-http-N``, starts with the server and lives as long as it. The
 accept loop hands each accepted connection to the pool thread that became
-idle last, which serves every request on it and then waits for the next
-connection, so no request pays for starting or ending a thread. A connection that arrives
+idle last, which serves every request on it, rejoins the idle threads before
+it closes the connection, and then waits for the next one, so no request
+pays for starting or ending a thread, and a client that connects again at
+once finds the same thread. A connection that arrives
 while every pool thread holds one (an overflow connection) gets a thread of
 its own that exits when the connection closes: requests exempt from the
 slots (``GET /`` and ``/tasks``) are then still answered, and the others
@@ -466,11 +468,22 @@ class GeoRocketHTTPServer(HTTPServer):
                 self._unclaimed -= 1
                 if not self._unclaimed:
                     self._pool_lock.notify()
-            self._serve(*item)
-            with self._pool_lock:
-                if self._closed:
-                    return
-                self._idle.append(inbox)
+            request, client_address = item
+            try:
+                self.finish_request(request, client_address)
+            except Exception:
+                self.handle_error(request, client_address)
+            finally:
+                # rejoin the idle stack before closing the connection: a client
+                # that connects again as soon as it has read the response then
+                # finds this thread on top, and keeps to one thread and arena
+                with self._pool_lock:
+                    closed = self._closed
+                    if not closed:
+                        self._idle.append(inbox)
+                self.shutdown_request(request)
+            if closed:
+                return
 
     def server_close(self) -> None:
         super().server_close()

@@ -1,8 +1,15 @@
 import json
+import gc
+import importlib.util
 import math
 import random
 import re
 import xml.etree.ElementTree as ET
+from collections import Counter
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings, strategies as st
 
 from georocket.indexer import build_document
 from georocket.model import (
@@ -17,7 +24,14 @@ from georocket.model import (
 from georocket.splitter import RawChunk
 from georocket.store import StoredEntry
 
+from extract_reference import reference_extract
 from gendata import project
+
+_bench_spec = importlib.util.spec_from_file_location(
+    "bench_gen", Path(__file__).resolve().parents[1] / "bench" / "gen.py"
+)
+bench_gen = importlib.util.module_from_spec(_bench_spec)
+_bench_spec.loader.exec_module(bench_gen)
 
 GEOMETRY_LOCAL_NAMES = {"posList", "pos", "coordinates", "lowerCorner", "upperCorner"}
 
@@ -304,3 +318,224 @@ class TestBuildDocument:
         )
         doc = build_document(entry)
         assert doc.bbox is None and doc.attributes == () and doc.tokens == ()
+
+    def test_bytes_that_are_not_utf8_are_projected(self):
+        # the splitter stores such bytes verbatim inside strings
+        chunk = geojson_chunk(
+            b'{"type":"Feature","geometry":{"type":"Point","coordinates":[7,51]},'
+            b'"properties":{"raw":"\xff\xfe ok","name":"K\xc3\xb6ln"}}'
+        )
+        doc = project(chunk)
+        assert (doc.bbox.min_x, doc.bbox.min_y) == (7, 51)
+        assert {a.key: a.value for a in doc.attributes} == {
+            "raw": TypedValue.of_text("\udcff\udcfe ok"), "name": TypedValue.of_text("Köln"),
+        }
+        assert {"ok", "köln", "feature", "point", "7", "51"} <= set(doc.tokens)
+
+
+# --- equivalence with the reference extractor ---------------------------------
+
+
+def assert_matches_reference(fmt: Format, content: bytes) -> None:
+    """``build_document`` projects ``content`` exactly as the reference does;
+    reprs tell -0.0 from 0.0 and compare NaN."""
+    parents = XmlParents(b"<r>", b"</r>") if fmt is Format.XML else GeoJsonParents(
+        CollectionKind.FEATURE_COLLECTION)
+    metadata = ChunkMetadata(layer=parse_layer_path("/"), format=fmt)
+    doc = build_document(StoredEntry(id="C", content=content, parents=parents, metadata=metadata))
+    bbox, attributes, tokens = reference_extract(fmt, content)
+    assert repr(doc.bbox) == repr(bbox)
+    assert [repr(a) for a in doc.attributes] == [repr(a) for a in attributes]
+    assert doc.tokens == tuple(sorted(tokens))
+
+
+def truncated(data: st.DataObject, content: bytes) -> bytes:
+    """``content``, or now and then a malformed prefix of it."""
+    if data.draw(st.integers(0, 7)):
+        return content
+    return content[: data.draw(st.integers(0, max(len(content) - 1, 0)))]
+
+
+NUMBERS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(-1000, 1000),
+    st.integers(-(10**20), 10**20),
+    st.sampled_from([10**400, -(10**400), 0, -0.0, 0.0, 1e-7, 1e22, 12.5, -3]),
+)
+STRINGS = st.one_of(
+    st.text(max_size=12),
+    st.sampled_from([
+        "2018", "2018-09", "2018-09-13", "2018-09-13T10:11:12Z", "2018-09-13T10:11:12.5+02:00",
+        "2018-13-01", "2018-02-30", "1999abc", "12 Gasse", "\u0663\u0664\u0665\u0666",
+        "\u00b2018", "Köln", "ß-straße", "a_b-c.d", "1.5-2", "", "\ufffd",
+    ]),
+)
+LEAVES = st.one_of(NUMBERS, STRINGS, st.booleans(), st.none())
+KEYS = st.one_of(st.sampled_from(["coordinates", "type", "name", "a.b", "", "properties"]),
+                 st.text(max_size=6))
+POSITIONS = st.one_of(st.lists(NUMBERS, min_size=2, max_size=3), st.lists(NUMBERS, max_size=4))
+COORDINATES = st.recursive(
+    st.one_of(POSITIONS, LEAVES),
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.dictionaries(KEYS, inner, max_size=3)),
+    max_leaves=12,
+)
+JSON_VALUES = st.recursive(
+    LEAVES,
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.dictionaries(KEYS, inner, max_size=4)),
+    max_leaves=12,
+)
+
+
+@st.composite
+def geojson_features(draw):
+    feature = {"type": draw(st.sampled_from(["Feature", "feature", 5]))}
+    geometry = st.fixed_dictionaries({
+        "type": st.sampled_from(["Point", "Polygon", "GeometryCollection"]),
+        "coordinates": COORDINATES,
+    })
+    if draw(st.integers(0, 3)):
+        feature["geometry"] = draw(st.one_of(geometry, geometry, st.none(), JSON_VALUES))
+    if draw(st.booleans()):
+        feature["properties"] = draw(st.one_of(st.dictionaries(KEYS, JSON_VALUES, max_size=6),
+                                               JSON_VALUES))
+    feature.update(draw(st.dictionaries(KEYS, JSON_VALUES, max_size=2)))
+    return draw(st.sampled_from([feature, [feature], feature.get("geometry")]))
+
+
+XML_EDGE_CASES = [
+    b"<a><pos>1 2<b/>3 4</pos></a>",  # markup inside a geometry joins its text
+    b"<a><pos>1 2<!--c-->3 4</pos><pos>5<?p?>6</pos><pos>7 <![CDATA[8]]></pos></a>",
+    b'<a srsDimension="3"><b><posList>1 2 3 4 5 6</posList></b></a>',
+    b'<a srsDimension="3"><posList srsDimension="2">1 2 3 4</posList></a>',
+    b'<a srsDimension="3"><b srsDimension="x"><posList>1 2 3</posList></b></a>',
+    b'<a gml:srsDimension=" 4 " srsDimension="1"><pos>1 2 3 4</pos></a>',
+    b'<pos srsDimension="1">1 2</pos>',
+    b"<a><pos>1 2 3</pos><pos>1e5 2</pos><pos>nan 1</pos><pos>1.5.2 3</pos></a>",
+    b"<a><pos>0 0</pos><pos>-0 -0</pos></a>",
+    b"<a><pos>-0 -0</pos><pos>0 0</pos></a>",
+    b"<a><pos>1&#x20;2</pos><pos>3 4&eacute;</pos><pos>5&nbsp;6</pos><pos>7&#10;8</pos></a>",
+    b'<fooAttribute name=""><value>5</value></fooAttribute>',
+    b'<xAttribute name="k"><value>1<value>2</value>3</value></xAttribute>',
+    b'<xAttribute name="k"><b><value> 2018 </value></b><value>x<!--c-->y</value></xAttribute>',
+    b'<xAttribute name="k"><value>caf&eacute;s<b/>t</value></xAttribute>',
+    b'<xAttribute name="k"><value><pos>1 2</pos></value></xAttribute>',
+    b'<pos><xAttribute name="k"><value>7</value></xAttribute>1 2</pos>',
+    b'<xAttribute name="a"><yAttribute><value>1</value></yAttribute></xAttribute>',
+    b'<xAttribute name="a" gen:name="b"><value>4.0</value></xAttribute>',
+    b"<a>caf&eacute;s</a>",
+    b"<a><pos>1 2 3",
+    b'<a><xAttribute name="k"><value>abc',
+    b"<a>x</a",
+]
+
+GEOJSON_EDGE_CASES = [
+    b'{"coordinates":[true,1]}',
+    b'{"coordinates":[[1,2],[3,[4,5]],"x",{"a":[6,7]},[8],[]]}',
+    b'{"geometry":{"coordinates":[[0,1],[-0.0,1]]}}',
+    b'{"geometry":{"coordinates":[[-0.0,1],[0,1]]}}',
+    b'{"coordinates":[[1e400,2],[%d,3],[NaN,4],[Infinity,-Infinity],[5,6]]}' % 10**400,
+    b'{"coordinates":[1.5e-7,1e22,-3]}',
+    ('{"properties":{"a":"\u0663\u0664\u0665\u0666","b":"\u00b2018","c":"2018-02-30",'
+     '"d":"2018-09-13T10:11:12Z","e":"12 Gasse","coordinates":[1,2],"f":{"g":[1,{"h":null}]},'
+     '"i":true,"j":NaN}}').encode(),
+    b'{"properties":[1],"type":"\\u00dfx"}',
+    b'[{"coordinates":[1,2]}]',
+    b'{"type":"Feature","properties":{"raw":"\xff\xfe ok"}}',
+    b' \r\n\t{"properties":{"a":1}} \n',  # JSON whitespace around the value
+    b'\xef\xbb\xbf{"properties":{"a":1}}',  # a byte order mark is not JSON
+    b'{"properties":{"a":1}} x',
+    b'{"properties":{"a":1}}{"b":2}',
+    b'\xc2\xa0{"properties":{"a":1}}',  # no-break space is not JSON whitespace
+]
+
+
+class TestMatchesReference:
+    @settings(max_examples=300, deadline=None)
+    @given(geojson_features(), st.booleans(), st.data())
+    def test_geojson(self, value, raw_bytes, data):
+        text = json.dumps(value, ensure_ascii=data.draw(st.booleans()))
+        content = text.encode("utf-8", "surrogatepass")
+        if raw_bytes:  # bytes that are not UTF-8 inside a string
+            content = content.replace(b'"', b'"\xff\xc3', 1)
+        assert_matches_reference(Format.GEOJSON, truncated(data, content))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_xml(self, data):
+        content = data.draw(xml_documents()).encode("utf-8")
+        assert_matches_reference(Format.XML, truncated(data, content))
+
+    @pytest.mark.parametrize("content", XML_EDGE_CASES)
+    def test_xml_edge_cases(self, content):
+        assert_matches_reference(Format.XML, content)
+
+    @pytest.mark.parametrize("content", GEOJSON_EDGE_CASES)
+    def test_geojson_edge_cases(self, content):
+        assert_matches_reference(Format.GEOJSON, content)
+
+    def test_extraction_leaves_no_cyclic_garbage(self):
+        # the server runs with the collector frozen; a pass's parser and
+        # handlers refer to each other and must be freed without it
+        contents = [(Format.XML, c) for c in XML_EDGE_CASES]
+        contents += [(Format.GEOJSON, c) for c in GEOJSON_EDGE_CASES]
+        gc.collect()
+        gc.disable()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            for fmt, content in contents:
+                assert_matches_reference(fmt, content)
+            found = gc.collect()
+            garbage = Counter(type(o).__name__ for o in gc.garbage)
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            gc.enable()
+        assert found == 0, garbage
+
+    def test_bench_shaped_inputs(self):
+        rng = random.Random(5)
+        building = bench_gen.citygml_building(rng, 3)
+        assert_matches_reference(Format.XML, building.encode("utf-8"))
+        for i in range(20):
+            assert_matches_reference(Format.GEOJSON, bench_gen.geojson_feature(rng, i).encode())
+
+
+XML_TAGS = ["gml:posList", "pos", "x:coordinates", "lowerCorner", "gml:upperCorner", "gen:value",
+            "value", "gen:stringAttribute", "doubleAttribute", "Attribute", "a", "b:c"]
+XML_ATTRIBUTES = st.tuples(
+    st.sampled_from(["srsDimension", "gml:srsDimension", "name", "gen:name", "gml:id", "Type"]),
+    st.sampled_from(["2", "3", " 3 ", "1", "0", "-1", "4", "x", "1.5", "\u0663", "", "street",
+                     "Gasse 12", "a&amp;b"]),
+)
+XML_TEXTS = st.one_of(
+    st.sampled_from([
+        "1 2 3 4 5 6", "1 2", "-0 0 0.5", " 1.5,2 3,-4 ", "1 2 3 4", "1e5 2", "nan 1 2",
+        "1.5.2 3", "1-2 3", "1\t2\n3", "12", "Gasse 12", "2018-09-13", " 2018 ", "4.0",
+        "Köln", "x_y-z.1", "\u00a01 2",
+    ]),
+    st.text(alphabet=st.characters(blacklist_characters="<&]\r",
+                                   blacklist_categories=("Cs", "Cc")), max_size=8),
+)
+XML_MARKUP = st.sampled_from([
+    "&amp;", "&lt;", "&#233;", "&#x31;", "&eacute;", "&nbsp;", "<![CDATA[7 8]]>", "<![CDATA[a<b]]>",
+    "<!-- c -->", "<?pi 9?>",
+])
+
+
+@st.composite
+def xml_elements(draw, depth=0):
+    tag = draw(st.sampled_from(XML_TAGS))
+    attrs = draw(st.lists(XML_ATTRIBUTES, max_size=2, unique_by=lambda kv: kv[0]))
+    parts = []
+    for _ in range(draw(st.integers(0, 3 if depth < 3 else 0))):
+        parts.append(draw(st.one_of(XML_TEXTS, XML_MARKUP, xml_elements(depth + 1))))
+    if draw(st.booleans()):
+        parts.insert(0, draw(XML_TEXTS))
+    attr_text = "".join(f' {k}="{v}"' for k, v in attrs)
+    return f"<{tag}{attr_text}>{''.join(parts)}</{tag}>"
+
+
+@st.composite
+def xml_documents(draw):
+    root = draw(xml_elements())
+    return draw(st.sampled_from([root, f"<w xmlns:gml='g'>{root}</w>", f"<?xml version='1.0'?>{root}"]))

@@ -860,14 +860,16 @@ class TestConcurrentImports:
 
 
 class TestOverload:
-    def test_503_when_slots_exhausted(self, server_factory):
+    def test_503_when_slots_exhausted(self, server_factory, monkeypatch):
         srv = server_factory(max_concurrent_requests=1)
         release = threading.Event()
-        started = threading.Event()
+        in_slot = threading.Event()  # set once the upload holds the one slot
+        import_stream = srv.app.import_stream
+        monkeypatch.setattr(srv.app, "import_stream",
+                            lambda *a, **kw: (in_slot.set(), import_stream(*a, **kw))[1])
 
         def slow_body():
             yield b'{"type":"FeatureCollection","features":['
-            started.set()
             release.wait(10)
             yield b"]}"
 
@@ -876,7 +878,7 @@ class TestOverload:
         )
         uploader.start()
         try:
-            assert started.wait(5)
+            assert in_slot.wait(5)
             resp = requests.get(srv.url + "/store?search=x")
             assert resp.status_code == 503
         finally:

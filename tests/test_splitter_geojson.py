@@ -347,7 +347,9 @@ PINNED = {
     "bench-seed-7": (160, "3ed86645a02091665bfaeb5ebca81eba93f49ea2f1c944c853e096783ac1d34d"),
     "bench-seed-401": (160, "922c6f49ad326b48da6daf86519acd5bea0f5e89249f25b9ebbb71f13ef56c20"),
     "big-feature": (2, "00276b6d580d59566d742ce329ba838f9e674e92613c85df78796d8daa35a6f0"),
-    "members": (2, "91bf8fd63224c79f63e8fc4d0b7fb0397782458ec2e469db1015604f86f35216"),
+    # its first feature holds bytes that are not UTF-8, and is projected
+    # (not left empty) since extraction decodes them as surrogate escapes
+    "members": (2, "39192259ace6929ac3fd5a8725e32f70aac6a769608dd0b382b3624d469a4f09"),
     "standalone": (1, "a765bc1ad70d9532ffe52065200d5e4887b8b36562069de42ee709a03256fd36"),
     "geometry": (1, "db19d52f1efe974646b0e50c59eb0d45817f83c77d1179b3119bcd77208fc232"),
     "empty-object": (1, "f5f77896bcca95ed39e8a838bf4f010ca64b4104170191809893473ccfaeccd5"),
