@@ -25,7 +25,6 @@ as an attribute and once as a property), and removing one leaves the other.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from collections import Counter
 from operator import itemgetter
 
 from ..model import DateValue, TypedValue
@@ -60,26 +59,16 @@ class SortedEntries:
     def remove(self, entries: list[tuple]) -> None:
         """Remove one occurrence of each of ``entries``; all must be present.
 
-        Up to ``_FEW`` entries are found by binary search. Each such removal
-        moves the tail of the list, so more are counted off in one pass that
-        keeps the others. The pass looks at the whole entry only when its id
-        is one of those removed; it needs no order and keeps the one there is.
+        Each is found by binary search, and each removal moves the tail of
+        the list, so callers removing more than ``_FEW`` chunks' entries drop
+        them by id instead (see ``drop_ids``).
         """
-        if len(entries) <= _FEW:
-            items = self.items()
-            for entry in entries:
-                i = bisect_left(items, entry)
-                if i == len(items) or items[i] != entry:
-                    raise KeyError(entry)
-                del items[i]
-            return
-        pending = Counter(entries)
-        ids = {entry[-1] for entry in entries}
-        self._items[:] = [
-            entry for entry in self._items if entry[-1] not in ids or _kept(pending, entry)
-        ]
-        if pending:
-            raise KeyError(next(iter(pending)))
+        items = self.items()
+        for entry in entries:
+            i = bisect_left(items, entry)
+            if i == len(items) or items[i] != entry:
+                raise KeyError(entry)
+            del items[i]
 
     def drop_ids(self, ids: set[str]) -> None:
         """Remove every entry of the chunks ``ids`` in one pass."""
@@ -99,18 +88,10 @@ class SortedEntries:
         return _ids(items, start, bisect_left(items, upper, start, key=_first))
 
 
-# Removals done by binary search (see SortedEntries.remove): from 10 000
-# (value, id) entries, 512 removals take about 0.7 ms either way, and the
-# pass wins by about 1.5x at 2 048.
+# The most chunks whose entries are removed by binary search (see
+# SortedEntries.remove): from 10 000 (value, id) entries, 512 removals take
+# about 0.7 ms, about as long as one pass over the list.
 _FEW = 512
-
-
-def _kept(pending: Counter, entry: tuple) -> bool:
-    """Whether ``entry`` stays; if not, count off one pending removal."""
-    count = pending.pop(entry, 0)
-    if count > 1:
-        pending[entry] = count - 1
-    return not count
 
 
 def _ids(items: list[tuple], start: int, stop: int) -> set[str]:

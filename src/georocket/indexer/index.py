@@ -22,14 +22,20 @@ document, metadata and value dataclasses use slots. Together with the kept log l
 feature costs about 3.7-3.8 KB of index (tracemalloc, 10 000 and 40 000
 features, log on), linear in the number of documents.
 
-Durability: every committed batch is appended to a segment log and replayed
-on open; the log compacts itself periodically. Each document's add record is
-encoded once, when it is committed; an index with a log keeps that line (or
-the line replay read) until an update or a delete drops it, and compaction
-copies the kept lines, encoding again only documents updated since. That
-costs about one log line of memory per document. Replay decodes each
-distinct metadata record once, so the documents of one import share one
-``ChunkMetadata`` after a restart too. ``compactions`` counts the
+Durability: every committed batch is appended to a one-file log and
+replayed on open. Once the log holds at least twice as many records as
+there are live documents, the index compacts it after the commit: the log
+is rewritten with one add record per live document. A compaction thus
+writes at most as many records as it drops, and each record it drops was
+appended, or made dead by an update or a delete, since the last one: what
+compactions write stays proportional to the work done, and an add-only
+ingest never compacts. A log whose replay stopped at a torn tail is
+compacted on open. Each document's add record is encoded once, when it is
+committed; an index with a log keeps that line (or the line replay read)
+until an update or a delete drops it, and compaction copies the kept lines,
+encoding again only documents updated since. That costs about one log line
+of memory per document. Replay decodes each distinct metadata record once,
+so the documents of one import share one ``ChunkMetadata`` after a restart too. ``compactions`` counts the
 compactions since open: after one, the structures hold no garbage and their
 objects are long-lived, which is when the server freezes them out of the
 garbage collector's view (see ``server.app``). The store remains the source
@@ -72,7 +78,7 @@ from .spatial import SpatialIndex
 
 
 class ChunkIndex:
-    def __init__(self, path=None, *, compact_after_ops: int = 8192, fsync: bool = True):
+    def __init__(self, path=None, *, fsync: bool = True):
         """Open (or create) an index; ``path=None`` keeps it in memory only."""
         self._lock = threading.RLock()
         self._docs: dict[str, IndexDocument] = {}
@@ -86,12 +92,11 @@ class ChunkIndex:
         self._timestamps = SortedEntries()  # the order keys, (import timestamp, sequence, id)
         self._spatial = SpatialIndex()
         self._lines: dict[str, str] = {}  # id -> its encoded add line, filled only with a log
-        self._ops_since_compact = 0
-        self._compact_after_ops = compact_after_ops
         self.compactions = 0  # compactions run since open; read without the lock
         self._log = SegmentLog(path, fsync=fsync) if path is not None else None
         if self._log is not None:
             self._replay()
+            self._maybe_compact()
 
     # --- persistence ------------------------------------------------------
 
@@ -124,17 +129,18 @@ class ChunkIndex:
     def _commit(self, ops) -> list[str]:
         lines = [encode(op) for op in ops]
         self._log.append(lines)
-        self._ops_since_compact += len(lines)
         return lines
 
     def _maybe_compact(self) -> None:
         # only after the committed batch is fully applied: the snapshot is
-        # built from the live structures
-        if self._log is not None and self._ops_since_compact >= self._compact_after_ops:
+        # built from the live structures. An empty index compacts a log with
+        # any record in it, and a new one has none.
+        log = self._log
+        if log is not None and (log.torn or log.records >= max(1, 2 * len(self._docs))):
             self.compact()
 
     def compact(self) -> None:
-        """Rewrite the log as one snapshot segment of the live documents."""
+        """Rewrite the log as one add record per live document."""
         with self._lock:
             if self._log is None:
                 return
@@ -143,7 +149,6 @@ class ChunkIndex:
                 lines[cid] = encode({"op": "add", "doc": self._docs[cid].to_record()})
             # the order keys end in the id
             self._log.compact([lines[key[-1]] for key in self._timestamps.items()])
-            self._ops_since_compact = 0
             self.compactions += 1
 
     def close(self) -> None:
@@ -227,8 +232,9 @@ class ChunkIndex:
             self._spatial.add(cid, (b.min_x, b.min_y, b.max_x, b.max_y))
 
     def _apply_metadata(self, ids, delta: MetadataDelta) -> None:
-        # column entries of changed property values are removed all at once,
-        # so a delta over many chunks costs one pass per column
+        # column entries of changed property values are removed all at once:
+        # by binary search for up to _FEW chunks, and past that as in a large
+        # delete, so a delta over many chunks costs one pass per column
         gone, added = [], []
         for chunk_id in ids:
             self._lines.pop(chunk_id, None)
@@ -254,6 +260,21 @@ class ChunkIndex:
             added.extend((key, TypedValue.from_text(raw), chunk_id)
                          for key, raw in new_props.items() if old_props.get(key) != raw)
             self._docs[chunk_id] = doc.with_metadata(new_meta)
+        if len(ids) > _FEW:
+            # drop the chunks' entries under the changed keys, then add back
+            # what the chunks hold there now: attributes and properties
+            keys = {key for key, _, _ in gone}
+            keys.update(key for key, _, _ in added)
+            self._columns.drop_ids(set(ids), keys)
+            for chunk_id in ids:
+                doc = self._docs[chunk_id]
+                for attr in doc.attributes:
+                    if attr.key in keys:
+                        self._columns.add(attr.key, attr.value, chunk_id)
+                for key, raw in doc.metadata.properties.items():
+                    if key in keys:
+                        self._columns.add(key, TypedValue.from_text(raw), chunk_id)
+            return
         self._columns.remove(gone)
         for key, value, chunk_id in added:
             self._columns.add(key, value, chunk_id)
@@ -289,9 +310,8 @@ class ChunkIndex:
             if not layer_ids:
                 del self._layer_ids[segments]
         if len(docs) > _FEW:
-            # a deleted chunk takes every entry it holds, so where remove()
-            # would make one counting pass, a pass by id does, without
-            # building or counting the entries
+            # a deleted chunk takes every entry it holds: one pass by id per
+            # column, without building the entries
             dead = {doc.chunk_id for doc in docs}
             keys = {attr.key for doc in docs for attr in doc.attributes}
             keys.update(key for doc in docs for key in doc.metadata.properties)

@@ -1,23 +1,26 @@
-"""Append-only segment log backing the index.
+"""Append-only log backing the index: one file, rewritten by compaction.
 
 Layout on disk::
 
-    <index dir>/manifest          one magic line + one JSON line listing segments
-    <index dir>/segments/<n>.seg  magic line + JSON op records, one per line
+    <index dir>/segments/log.seg  magic line + JSON op records, one per line
 
 Records are encoded here, once: ``encode`` turns an op into its log line,
-``append`` writes a committed batch of lines to the active segment (which
-rolls over at a size threshold), and ``replay`` yields every record together
-with the line it was read from. Compaction writes a snapshot of given lines
-into a fresh segment and atomically swaps the manifest, so a caller that
-kept the lines of its live records copies them and encodes nothing again.
+``append`` writes a committed batch of lines to the end of the log, and
+``replay`` yields every record together with the line it was read from.
+Compaction writes given lines to a temporary file beside the log, syncs it
+and renames it over the log, so a caller that kept the lines of its live
+records copies them and encodes nothing again. A crash before the rename
+leaves the old log whole, and the next compaction overwrites the temporary
+file. ``records`` counts the op lines in the log, so the caller can tell how
+many of them are dead.
 
 A line that does not parse or has no newline is a torn tail (a crash during
-append); replay ignores it and the rest of its segment, and if it is in the
-last segment the next append starts a fresh segment, so a later commit is
-never written behind the torn bytes. With ``fsync`` on, every new segment and
-every manifest swap is followed by an fsync of its directory. Unknown magic
-fails fast so a future format bump cannot be misread.
+append); replay ignores it and the rest of the log and sets ``torn``, and
+the caller compacts before it appends again, so a later commit is never
+written behind the torn bytes. With ``fsync`` on, every append and every new
+log file is synced, and so is the directory after each rename. Unknown magic
+fails fast so a future format bump cannot be misread, and so does a
+directory with a ``manifest``, the layout of earlier versions.
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ from ..errors import StorageError
 logger = logging.getLogger(__name__)
 
 SEGMENT_MAGIC = "georocket-index-segment 1"
-MANIFEST_MAGIC = "georocket-index-manifest 1"
 
 _encode = json.JSONEncoder(separators=(",", ":")).encode
 
@@ -51,138 +53,84 @@ def _fsync_dir(path: Path) -> None:
 
 
 class SegmentLog:
-    def __init__(self, root, max_segment_bytes: int = 8 << 20, fsync: bool = True):
+    def __init__(self, root, fsync: bool = True):
         self.root = Path(root)
-        self.segments_dir = self.root / "segments"
-        self.manifest_path = self.root / "manifest"
-        self.max_segment_bytes = max_segment_bytes
+        self.path = self.root / "segments" / "log.seg"
         self.fsync = fsync
-        self._active = None  # open file handle for the last listed segment
-        self._torn_tail = False  # the last segment ends in a partial record
+        self.records = 0  # op lines in the log, as far as replay and appends saw
+        self.torn = False  # replay stopped at a partial record
+        self._file = None  # append handle, opened by the first append
+        if (self.root / "manifest").exists():
+            raise StorageError(
+                f"index directory {self.root} has the layout of an earlier version; "
+                "delete the directory to rebuild the index from the store")
         try:
-            self.segments_dir.mkdir(parents=True, exist_ok=True)
-            if self.manifest_path.exists():
-                self._segments = self._read_manifest()
-            else:
-                self._segments: list[str] = []
-                self._write_manifest()
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            exists = self.path.exists()
         except OSError as e:
             raise StorageError(f"cannot open index directory {self.root}: {e}") from e
-
-    def _read_manifest(self) -> list[str]:
-        with open(self.manifest_path, "r", encoding="utf-8") as f:
-            magic = f.readline().strip()
-            if magic != MANIFEST_MAGIC:
-                raise StorageError(f"unrecognised index manifest header {magic!r}")
-            body = f.readline()
-        return list(json.loads(body)["segments"]) if body.strip() else []
-
-    def _write_manifest(self) -> None:
-        tmp = self.manifest_path.with_suffix(".tmp")
-        with open(tmp, "w", encoding="utf-8") as f:
-            f.write(MANIFEST_MAGIC + "\n")
-            f.write(json.dumps({"segments": self._segments}) + "\n")
-            f.flush()
-            if self.fsync:
-                os.fsync(f.fileno())
-        os.replace(tmp, self.manifest_path)
-        if self.fsync:
-            _fsync_dir(self.root)
+        if not exists:
+            self._rewrite([])
 
     def replay(self):
         """Yield ``(record, line)`` for every op record in commit order."""
-        self._close_active()
-        for name in self._segments:
-            path = self.segments_dir / name
-            try:
-                with open(path, "r", encoding="utf-8") as f:
-                    magic = f.readline().strip()
-                    if magic != SEGMENT_MAGIC:
-                        raise StorageError(f"unrecognised segment header in {name}")
-                    for line in f:
-                        if line.isspace():
-                            continue
-                        try:
-                            if not line.endswith("\n"):
-                                raise ValueError("record without its newline")
-                            record = json.loads(line)
-                        except ValueError:
-                            logger.warning("ignoring partial record in segment %s", name)
-                            self._torn_tail = name == self._segments[-1]
-                            break
-                        yield record, line
-            except FileNotFoundError:
-                logger.warning("segment %s listed but missing; skipping", name)
+        self.close()
+        self.records = 0
+        with open(self.path, "r", encoding="utf-8") as f:
+            magic = f.readline().strip()
+            if magic != SEGMENT_MAGIC:
+                raise StorageError(f"unrecognised index log header {magic!r} in {self.path}")
+            for line in f:
+                if line.isspace():
+                    continue
+                try:
+                    if not line.endswith("\n"):
+                        raise ValueError("record without its newline")
+                    record = json.loads(line)
+                except ValueError:
+                    logger.warning("ignoring partial record at the end of %s", self.path)
+                    self.torn = True
+                    break
+                self.records += 1
+                yield record, line
 
-    def append(self, lines) -> None:
+    def append(self, lines: list[str]) -> None:
         """Durably append a batch of encoded lines as one commit."""
         try:
-            f = self._active_file()
-            f.write("".join(lines))
-            f.flush()
+            if self._file is None:
+                self._file = open(self.path, "a", encoding="utf-8")
+            self._file.write("".join(lines))
+            self._file.flush()
             if self.fsync:
-                os.fsync(f.fileno())
-            if f.tell() >= self.max_segment_bytes:
-                self._roll()
+                os.fsync(self._file.fileno())
         except OSError as e:
-            raise StorageError(f"cannot append to index segment: {e}") from e
+            raise StorageError(f"cannot append to the index log: {e}") from e
+        self.records += len(lines)
 
-    def _active_file(self):
-        if self._active is None:
-            if not self._segments or self._torn_tail:
-                self._roll()
-            else:
-                self._active = open(
-                    self.segments_dir / self._segments[-1], "a", encoding="utf-8"
-                )
-        return self._active
+    def compact(self, lines: list[str]) -> None:
+        """Replace the whole log with one holding the encoded ``lines``."""
+        self._rewrite(lines)
 
-    def _next_name(self) -> str:
-        last = int(self._segments[-1].split(".")[0]) if self._segments else -1
-        return f"{last + 1:08d}.seg"
-
-    def _new_segment(self, lines=()) -> str:
-        """Write and sync a segment holding ``lines``; returns its name."""
-        name = self._next_name()
-        with open(self.segments_dir / name, "w", encoding="utf-8") as f:
-            f.write(SEGMENT_MAGIC + "\n")
-            f.writelines(lines)
-            f.flush()
-            if self.fsync:
-                os.fsync(f.fileno())
-        if self.fsync:
-            _fsync_dir(self.segments_dir)
-        return name
-
-    def _roll(self) -> None:
-        self._close_active()
-        name = self._new_segment()
-        self._segments.append(name)
-        self._write_manifest()
-        self._torn_tail = False
-        self._active = open(self.segments_dir / name, "a", encoding="utf-8")
-
-    def compact(self, lines) -> None:
-        """Replace the whole log with one segment holding the encoded ``lines``."""
-        self._close_active()
-        old = list(self._segments)
+    def _rewrite(self, lines: list[str]) -> None:
+        # also creates a new, empty log, which is not counted as a compaction
+        self.close()
+        tmp = self.path.with_name(self.path.name + ".tmp")
         try:
-            self._segments = [self._new_segment(lines)]
-            self._write_manifest()
+            with open(tmp, "w", encoding="utf-8") as f:
+                f.write(SEGMENT_MAGIC + "\n")
+                f.writelines(lines)
+                f.flush()
+                if self.fsync:
+                    os.fsync(f.fileno())
+            os.replace(tmp, self.path)
+            if self.fsync:
+                _fsync_dir(self.path.parent)
         except OSError as e:
-            self._segments = old
-            raise StorageError(f"cannot compact index: {e}") from e
-        self._torn_tail = False
-        for stale in old:
-            try:
-                os.unlink(self.segments_dir / stale)
-            except OSError:
-                pass
-
-    def _close_active(self) -> None:
-        if self._active is not None:
-            self._active.close()
-            self._active = None
+            raise StorageError(f"cannot write the index log: {e}") from e
+        self.records = len(lines)
+        self.torn = False
 
     def close(self) -> None:
-        self._close_active()
+        if self._file is not None:
+            self._file.close()
+            self._file = None

@@ -259,8 +259,6 @@ class GeoRocketApp:
             self._settle_after_compaction()
 
     def _handle_batch(self, batch) -> None:
-        if self.config.index_throttle_ms:
-            time.sleep(self.config.index_throttle_ms / 1000.0)
         docs = []
         tasks = []
         dead = []

@@ -13,7 +13,6 @@ File shape (all keys optional)::
         "index_batch_size": 256,
         "index_queue_size": 1024
       },
-      "index_throttle_ms": 0,
       "reconcile_on_start": true
     }
 
@@ -44,7 +43,6 @@ class ServerConfig:
     max_concurrent_requests: int = 32
     index_batch_size: int = 256
     index_queue_size: int = 1024
-    index_throttle_ms: float = 0.0
     reconcile_on_start: bool = True
 
     def validate(self) -> "ServerConfig":
@@ -68,7 +66,7 @@ def _from_file(path: str) -> dict:
     if not isinstance(raw, dict):
         raise ConfigError("config file must hold a JSON object")
     values: dict = {}
-    for key in ("host", "port", "index_throttle_ms", "reconcile_on_start"):
+    for key in ("host", "port", "reconcile_on_start"):
         if key in raw:
             values[key] = raw[key]
     store = raw.get("store", {})
@@ -93,7 +91,7 @@ _FIELD_TYPES = {f.name: f.type for f in fields(ServerConfig)}
 def _coerce(name: str, raw: str):
     if name in ("port", "max_concurrent_requests", "index_batch_size", "index_queue_size"):
         return int(raw)
-    if name in ("task_retention_seconds", "index_throttle_ms"):
+    if name == "task_retention_seconds":
         return float(raw)
     if name == "reconcile_on_start":
         return raw.strip().lower() in ("1", "true", "yes", "on")

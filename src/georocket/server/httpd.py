@@ -258,20 +258,19 @@ class _Handler(BaseHTTPRequestHandler):
 
     # --- endpoints ------------------------------------------------------------
 
-    def do_GET(self):
+    def _serve(self, store_handler, other=None) -> None:
+        """Answer one request: a ``/store`` path with ``store_handler(layer,
+        params)`` inside a request slot, any other path with
+        ``other(segments)`` without one, if given. Errors become JSON error
+        responses."""
         segments, params = self._route()
         try:
-            if not segments:
-                self._send_json(200, self.app.status())
-            elif segments[0] == "tasks" and len(segments) == 2:
-                task = self.app.task(segments[1])
-                if task is None:
-                    raise NotFoundError(f"no such task {segments[1]}")
-                self._send_json(200, task.to_dict())
-            elif segments[0] == "store":
+            if segments[:1] == ["store"]:
                 with self._slot() as ok:
                     if ok:
-                        self._search(segments[1:], params)
+                        store_handler(self._layer(segments[1:]), params)
+            elif other is not None:
+                other(segments)
             else:
                 raise NotFoundError(f"no such endpoint {self.path}")
         except GeoRocketError as e:
@@ -279,8 +278,30 @@ class _Handler(BaseHTTPRequestHandler):
         except Exception as e:
             self._send_internal_error(e)
 
-    def _search(self, layer_segments, params):
-        layer = self._layer(layer_segments)
+    def do_GET(self):
+        self._serve(self._search, self._status)
+
+    def do_POST(self):
+        self._serve(self._import)
+
+    def do_PUT(self):
+        self._serve(self._set_metadata)
+
+    def do_DELETE(self):
+        self._serve(self._delete)
+
+    def _status(self, segments):
+        if not segments:
+            self._send_json(200, self.app.status())
+        elif segments[0] == "tasks" and len(segments) == 2:
+            task = self.app.task(segments[1])
+            if task is None:
+                raise NotFoundError(f"no such task {segments[1]}")
+            self._send_json(200, task.to_dict())
+        else:
+            raise NotFoundError(f"no such endpoint {self.path}")
+
+    def _search(self, layer, params):
         default_format = (
             Format.GEOJSON if params.get("format", "").lower() in ("geojson", "json")
             else Format.XML
@@ -307,80 +328,35 @@ class _Handler(BaseHTTPRequestHandler):
             logger.exception("search stream aborted")
             self.close_connection = True
 
-    def do_POST(self):
-        segments, params = self._route()
-        try:
-            if not segments or segments[0] != "store":
-                raise NotFoundError(f"no such endpoint {self.path}")
-            with self._slot() as ok:
-                if not ok:
-                    return
-                layer = self._layer(segments[1:])
-                tags = parse_tag_list(params.get("tags", ""))
-                properties = parse_property_specs(params.get("props", params.get("properties", "")))
-                task = self.app.import_stream(
-                    layer,
-                    self._body_blocks(),
-                    tags=tags,
-                    properties=properties,
-                    fallback_crs=params.get("fallbackCRS") or None,
-                )
-                self._send_json(202, {"taskId": task.id,
-                                      "chunksWritten": task.chunks_written})
-        except GeoRocketError as e:
-            self._send_error_payload(e)
-        except Exception as e:
-            self._send_internal_error(e)
+    def _import(self, layer, params):
+        task = self.app.import_stream(
+            layer,
+            self._body_blocks(),
+            tags=parse_tag_list(params.get("tags", "")),
+            properties=parse_property_specs(params.get("props", params.get("properties", ""))),
+            fallback_crs=params.get("fallbackCRS") or None,
+        )
+        self._send_json(202, {"taskId": task.id, "chunksWritten": task.chunks_written})
 
-    def do_DELETE(self):
-        segments, params = self._route()
-        try:
-            if not segments or segments[0] != "store":
-                raise NotFoundError(f"no such endpoint {self.path}")
-            with self._slot() as ok:
-                if not ok:
-                    return
-                layer = self._layer(segments[1:])
-                search = params.get("search", "")
-                if "properties" in params or "tags" in params:
-                    delta = MetadataDelta(
-                        remove_properties=frozenset(
-                            parse_tag_list(params.get("properties", ""))
-                        ),
-                        remove_tags=frozenset(parse_tag_list(params.get("tags", ""))),
-                    )
-                    count = self.app.update_metadata(layer, search, delta)
-                    self._send_json(200, {"updated": count})
-                else:
-                    allow_all = params.get("all", "").lower() == "true"
-                    count = self.app.delete(layer, search, allow_all)
-                    self._send_json(200, {"deleted": count})
-        except GeoRocketError as e:
-            self._send_error_payload(e)
-        except Exception as e:
-            self._send_internal_error(e)
+    def _delete(self, layer, params):
+        search = params.get("search", "")
+        if "properties" in params or "tags" in params:
+            delta = MetadataDelta(
+                remove_properties=frozenset(parse_tag_list(params.get("properties", ""))),
+                remove_tags=frozenset(parse_tag_list(params.get("tags", ""))),
+            )
+            self._send_json(200, {"updated": self.app.update_metadata(layer, search, delta)})
+        else:
+            allow_all = params.get("all", "").lower() == "true"
+            self._send_json(200, {"deleted": self.app.delete(layer, search, allow_all)})
 
-    def do_PUT(self):
-        segments, params = self._route()
-        try:
-            if not segments or segments[0] != "store":
-                raise NotFoundError(f"no such endpoint {self.path}")
-            with self._slot() as ok:
-                if not ok:
-                    return
-                layer = self._layer(segments[1:])
-                delta = MetadataDelta(
-                    set_properties=parse_property_specs(
-                        params.get("properties", params.get("props", ""))
-                    ),
-                    add_tags=frozenset(parse_tag_list(params.get("tags", ""))),
-                )
-                count = self.app.update_metadata(layer, params.get("search", ""), delta)
-                self._send_json(200, {"updated": count})
-        except GeoRocketError as e:
-            self._send_error_payload(e)
-        except Exception as e:
-            self._send_internal_error(e)
+    def _set_metadata(self, layer, params):
+        delta = MetadataDelta(
+            set_properties=parse_property_specs(params.get("properties", params.get("props", ""))),
+            add_tags=frozenset(parse_tag_list(params.get("tags", ""))),
+        )
+        self._send_json(200, {"updated": self.app.update_metadata(
+            layer, params.get("search", ""), delta)})
 
 
 def _frame(parts: list[bytes], size: int, tail: bytes) -> bytes:

@@ -19,6 +19,8 @@ from ..store import ChunkStore
 
 logger = logging.getLogger(__name__)
 
+BATCH_SIZE = 256  # documents reindexed per index commit
+
 
 @dataclass
 class ReconcileReport:
@@ -27,7 +29,7 @@ class ReconcileReport:
     metadata_synced: int = 0
 
 
-def reconcile(store: ChunkStore, index: ChunkIndex, batch_size: int = 256) -> ReconcileReport:
+def reconcile(store: ChunkStore, index: ChunkIndex) -> ReconcileReport:
     report = ReconcileReport()
     store_ids = set(store.scan())
     index_ids = set(index.all_ids())
@@ -45,7 +47,7 @@ def reconcile(store: ChunkStore, index: ChunkIndex, batch_size: int = 256) -> Re
             continue
         if chunk_id not in index_ids:
             pending.append(build_document(entry))
-            if len(pending) >= batch_size:
+            if len(pending) >= BATCH_SIZE:
                 report.reindexed += index.add_documents(pending)
                 pending = []
             continue

@@ -1,3 +1,4 @@
+import functools
 import gc
 import sys
 import time
@@ -11,7 +12,7 @@ if str(ROOT / "src") not in sys.path:
 if str(ROOT / "tests") not in sys.path:
     sys.path.insert(0, str(ROOT / "tests"))
 
-from georocket.server import EmbeddedServer, ServerConfig  # noqa: E402
+from georocket.server import EmbeddedServer, GeoRocketApp, ServerConfig  # noqa: E402
 
 
 @pytest.fixture(autouse=True)
@@ -20,6 +21,19 @@ def unfrozen_heap():
     the collector as they would alone."""
     yield
     gc.unfreeze()
+
+
+def slowed_batches(ms: float):
+    """``GeoRocketApp._handle_batch`` made to sleep ``ms`` milliseconds before
+    each index batch, so that a test can watch an import while it indexes."""
+    handle = GeoRocketApp._handle_batch
+
+    @functools.wraps(handle)
+    def slow(self, batch):
+        time.sleep(ms / 1000.0)
+        return handle(self, batch)
+
+    return slow
 
 
 def wait_for_pool_exit(srv: EmbeddedServer, timeout: float = 5.0) -> list:

@@ -39,7 +39,7 @@ from georocket.query.parser import classify_term
 from georocket.server import GeoRocketApp, ServerConfig, TaskState
 from georocket.splitter import GeoJsonSplitter, split_auto
 
-from conftest import wait_for_task
+from conftest import slowed_batches, wait_for_task
 from gendata import (
     geojson_stream,
     make_citygml,
@@ -215,9 +215,10 @@ def test_criterion_4_workflow_reenactment(server):
         assert leftover == 0
 
 
-def test_criterion_5_asynchronous_import(server_factory):
+def test_criterion_5_asynchronous_import(server_factory, monkeypatch):
     with criterion(5, "202 precedes indexing; task states monotone; exact count after FINISHED"):
-        srv = server_factory(index_throttle_ms=40, index_batch_size=1)
+        monkeypatch.setattr(GeoRocketApp, "_handle_batch", slowed_batches(40))
+        srv = server_factory(index_batch_size=1)
         captured = []
         original_create = srv.app.tasks.create
 
@@ -314,6 +315,26 @@ def test_criterion_7_streaming_memory_bound():
         )
 
 
+# ``python -m georocket.server`` with each index batch slowed by 30 ms, so
+# that the kill of criterion 8 lands while the import is still indexing
+_SLOW_SERVER = """
+import sys, time
+from georocket.server.__main__ import main
+from georocket.server.app import GeoRocketApp
+
+handle = GeoRocketApp._handle_batch
+
+
+def slow(self, batch):
+    time.sleep(0.03)
+    return handle(self, batch)
+
+
+GeoRocketApp._handle_batch = slow
+sys.exit(main(sys.argv[1:]))
+"""
+
+
 def test_criterion_8_crash_recovery(tmp_path):
     with criterion(8, "kill mid-import, restart + reconcile restores consistency"):
         store_dir = tmp_path / "store"
@@ -324,13 +345,12 @@ def test_criterion_8_crash_recovery(tmp_path):
             "port": 0,
             "store": {"backend": "filesystem", "path": str(store_dir)},
             "index": {"path": str(index_dir)},
-            "index_throttle_ms": 30,
             "limits": {"index_batch_size": 4},
         }))
         env = dict(os.environ)
         env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
         proc = subprocess.Popen(
-            [sys.executable, "-m", "georocket.server", "-c", str(config_path)],
+            [sys.executable, "-c", _SLOW_SERVER, "-c", str(config_path)],
             stdout=subprocess.PIPE,
             stderr=subprocess.STDOUT,
             env=env,

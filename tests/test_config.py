@@ -23,7 +23,6 @@ class TestLoadConfig:
             "tasks": {"retention_seconds": 60},
             "limits": {"max_concurrent_requests": 4, "index_batch_size": 16,
                        "index_queue_size": 32},
-            "index_throttle_ms": 5,
             "reconcile_on_start": False,
         }))
         config = load_config(str(path), env={})
@@ -36,7 +35,6 @@ class TestLoadConfig:
         assert config.max_concurrent_requests == 4
         assert config.index_batch_size == 16
         assert config.index_queue_size == 32
-        assert config.index_throttle_ms == 5
         assert config.reconcile_on_start is False
 
     def test_environment_overrides_file(self, tmp_path):

@@ -446,7 +446,7 @@ class TestComparisonColumns:
 
 
 class TestSortedEntries:
-    @pytest.mark.parametrize("count", [3, _FEW + 1], ids=["binary search", "one pass"])
+    @pytest.mark.parametrize("count", [3, _FEW], ids=["binary search", "the most by binary search"])
     def test_remove_takes_one_occurrence_of_each(self, count):
         rng = random.Random(count)
         held = [(rng.randrange(50), f"C{rng.randrange(400):04d}") for _ in range(2000)]
@@ -457,7 +457,7 @@ class TestSortedEntries:
         entries.remove(gone)
         assert entries.items() == sorted((Counter(held) - Counter(gone)).elements())
 
-    @pytest.mark.parametrize("count", [3, _FEW + 1], ids=["binary search", "one pass"])
+    @pytest.mark.parametrize("count", [3, _FEW], ids=["binary search", "the most by binary search"])
     def test_remove_of_an_entry_not_held_raises(self, count):
         entries = SortedEntries()
         entries.add((1, "C0001"))
@@ -528,8 +528,9 @@ class TestPersistence:
 
     def test_compaction_preserves_documents(self, tmp_path):
         docs = self._docs()
-        index = ChunkIndex(tmp_path / "idx", compact_after_ops=10)
-        index.add_documents(docs)  # triggers compaction along the way
+        index = ChunkIndex(tmp_path / "idx")
+        index.add_documents(docs)
+        index.compact()
         index.delete([docs[2].chunk_id])
         index.compact()
         index.close()
@@ -543,20 +544,21 @@ class TestPersistence:
         index = ChunkIndex(tmp_path / "idx")
         index.add_documents(self._docs()[:5])
         index.close()
-        manifest_dir = tmp_path / "idx" / "segments"
-        segment = sorted(manifest_dir.glob("*.seg"))[-1]
+        (segment,) = (tmp_path / "idx" / "segments").glob("*.seg")
         with open(segment, "ab") as f:
             f.write(b'{"op":"add","doc":{"id":"trunc')  # crash mid-append
         reopened = ChunkIndex(tmp_path / "idx")
         assert len(reopened) == 5
+        assert reopened.compactions == 1  # on open, so nothing is appended behind the tear
         reopened.close()
+        assert b"trunc" not in segment.read_bytes()
 
     def test_append_after_a_torn_tail_survives_the_next_restart(self, tmp_path):
         docs = self._docs()
         index = ChunkIndex(tmp_path / "idx")
         index.add_documents(docs[:5])
         index.close()
-        segment = sorted((tmp_path / "idx" / "segments").glob("*.seg"))[-1]
+        (segment,) = (tmp_path / "idx" / "segments").glob("*.seg")
         with open(segment, "ab") as f:
             f.write(b'{"op":"add","doc":{"id":"trunc')  # crash mid-append
         reopened = ChunkIndex(tmp_path / "idx")
@@ -573,7 +575,7 @@ class TestPersistence:
         index = ChunkIndex(tmp_path / "idx")
         index.add_documents(docs[:3])
         index.close()
-        segment = sorted((tmp_path / "idx" / "segments").glob("*.seg"))[-1]
+        (segment,) = (tmp_path / "idx" / "segments").glob("*.seg")
         with open(segment, "a") as f:  # complete JSON, cut before its newline
             f.write(encode({"op": "add", "doc": docs[3].to_record()})[:-1])
         reopened = ChunkIndex(tmp_path / "idx")
@@ -588,7 +590,7 @@ class TestPersistence:
         index = ChunkIndex(tmp_path / "idx")
         index.close()
         (tmp_path / "idx" / "manifest").write_text("something-else 9\n{}\n")
-        with pytest.raises(StorageError):
+        with pytest.raises(StorageError, match="delete the directory"):
             ChunkIndex(tmp_path / "idx")
 
     def test_query_after_reopen_equals_oracle(self, tmp_path):
@@ -599,8 +601,9 @@ class TestPersistence:
         for i in range(100, 120):
             docs[i] = replace(docs[i], sequence=(119 - i) // 2, metadata=replace(
                 docs[i].metadata, import_timestamp=shared))
-        index = ChunkIndex(tmp_path / "idx", compact_after_ops=50)
+        index = ChunkIndex(tmp_path / "idx")
         index.add_documents(docs)
+        index.compact()
         by_id = {d.chunk_id: d for d in docs}
         # updates and deletes after the compaction are replayed from the log
         for step in range(20):
@@ -654,22 +657,23 @@ class TestSegmentLog:
         monkeypatch.setattr(os, "fsync", recording)
         return synced
 
-    def test_new_segments_and_manifest_swaps_sync_their_directory(self, tmp_path, synced_dirs):
+    def test_a_new_log_and_each_compaction_sync_their_directory(self, tmp_path, synced_dirs):
         root = tmp_path / "idx"
-        log = SegmentLog(root, max_segment_bytes=1)
-        assert synced_dirs == [_identity(root)]  # the first manifest
+        log = SegmentLog(root)
+        segments = _identity(root / "segments")
+        assert synced_dirs == [segments]  # the new, empty log
         line = encode({"op": "delete", "ids": ["C0001"]})
         synced_dirs.clear()
-        log.append([line])  # creates the first segment, and rolls past the size
-        segments = _identity(root / "segments")
-        assert synced_dirs == [segments, _identity(root)] * 2
-        synced_dirs.clear()
+        log.append([line])  # the file exists: only its data is synced
+        assert synced_dirs == []
         log.compact([line])
-        assert synced_dirs == [segments, _identity(root)]
+        assert synced_dirs == [segments]
         log.close()
+        assert SegmentLog(root).records == 0  # reopening creates nothing
+        assert synced_dirs == [segments]
 
     def test_no_directory_sync_without_fsync(self, tmp_path, synced_dirs):
-        log = SegmentLog(tmp_path / "idx", max_segment_bytes=1, fsync=False)
+        log = SegmentLog(tmp_path / "idx", fsync=False)
         log.append([encode({"op": "delete", "ids": ["C0001"]})])
         log.compact([])
         log.close()
@@ -682,6 +686,97 @@ class TestSegmentLog:
         log.append([encode(ops[2])])
         assert list(log.replay()) == [(op, encode(op)) for op in ops]
         log.close()
+
+
+class TestCompactionRule:
+    """One log file, compacted after the commit that leaves at least half of
+    its records dead."""
+
+    @staticmethod
+    def _lines(root) -> list[str]:
+        (log,) = (root / "segments").glob("*.seg")
+        assert log.name == "log.seg"
+        return log.read_text(encoding="utf-8").splitlines()[1:]
+
+    def test_an_add_only_ingest_never_compacts(self, tmp_path):
+        root = tmp_path / "idx"
+        index = ChunkIndex(root, fsync=False)
+        for start in range(0, 2000, 256):
+            index.add_documents([make_doc(i) for i in range(start, min(start + 256, 2000))])
+        assert index.compactions == 0
+        index.close()
+        assert len(self._lines(root)) == 2000
+        reopened = ChunkIndex(root, fsync=False)
+        assert reopened.compactions == 0 and len(reopened) == 2000
+        reopened.close()
+
+    def test_rounds_of_the_bench_compact_once_per_four(self, tmp_path):
+        # the geojson-index-ingest rounds scaled by 1/10: 800 preloaded, then
+        # 6 updates, 204 adds and one delete of those 204 a round
+        root = tmp_path / "idx"
+        index = ChunkIndex(root, fsync=False)
+        for start in range(0, 800, 256):
+            index.add_documents([make_doc(i) for i in range(start, min(start + 256, 800))])
+        after_round = []
+        for r in range(12):
+            for u in range(6):
+                index.update_metadata([f"C{u:04d}"], MetadataDelta(add_tags=frozenset({f"r{r}"})))
+            added = [make_doc(1000 + k) for k in range(204)]
+            index.add_documents(added)
+            index.delete([d.chunk_id for d in added])
+            after_round.append(index.compactions)
+        assert after_round == [0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 2, 3]
+        assert len(self._lines(root)) == 800  # the last round's delete compacted
+        index.close()
+
+    def test_a_compaction_cut_before_the_rename_reopens_to_the_state_before_it(
+            self, tmp_path, monkeypatch):
+        class Crash(BaseException):
+            pass
+
+        def crash(*args):
+            raise Crash
+
+        root = tmp_path / "idx"
+        docs = [make_doc(i, tags=("t",)) for i in range(20)]
+        index = ChunkIndex(root)
+        index.add_documents(docs)
+        index.update_metadata(["C0003"], MetadataDelta(add_tags=frozenset({"u"})))
+        index.delete(["C0004"])
+        expected = {i: index.get_document(i) for i in index.all_ids()}
+        monkeypatch.setattr(os, "replace", crash)
+        with pytest.raises(Crash):
+            index.compact()
+        monkeypatch.undo()
+        assert (root / "segments" / "log.seg.tmp").exists()  # the cut compaction's file
+        assert len(self._lines(root)) == 22  # the old log, whole
+        reopened = ChunkIndex(root)
+        assert {i: reopened.get_document(i) for i in reopened.all_ids()} == expected
+        reopened.compact()
+        assert not (root / "segments" / "log.seg.tmp").exists()
+        reopened.close()
+        again = ChunkIndex(root)
+        assert {i: again.get_document(i) for i in again.all_ids()} == expected
+        again.close()
+
+    def test_one_log_file_after_appends_and_after_a_compaction(self, tmp_path):
+        root = tmp_path / "idx"
+        index = ChunkIndex(root)
+        assert self._lines(root) == []
+        index.add_documents([make_doc(i) for i in range(3)])
+        index.add_documents([make_doc(3)])
+        assert len(self._lines(root)) == 4
+        index.delete(["C0000", "C0001"])  # 5 records for 2 documents
+        assert index.compactions == 1
+        assert len(self._lines(root)) == 2
+        assert [p.name for p in (root / "segments").iterdir()] == ["log.seg"]
+        index.close()
+
+    def test_a_log_with_unknown_magic_fails_fast(self, tmp_path):
+        ChunkIndex(tmp_path / "idx").close()
+        (tmp_path / "idx" / "segments" / "log.seg").write_text("georocket-index-segment 9\n")
+        with pytest.raises(StorageError, match="header"):
+            ChunkIndex(tmp_path / "idx")
 
 
 class TestKeptLines:
@@ -710,9 +805,7 @@ class TestKeptLines:
         ops.append({"op": "delete", "ids": [docs[4].chunk_id]})
         root = tmp_path / "idx"
         (root / "segments").mkdir(parents=True)
-        (root / "manifest").write_text(
-            "georocket-index-manifest 1\n" + json.dumps({"segments": ["00000000.seg"]}) + "\n")
-        (root / "segments" / "00000000.seg").write_text(
+        (root / "segments" / "log.seg").write_text(
             SEGMENT_MAGIC + "\n" + "".join(json.dumps(op, separators=(",", ":")) + "\n"
                                           for op in ops))
         expected = ChunkIndex()
@@ -770,7 +863,7 @@ class TestKeptLines:
     def test_every_compacted_record_is_its_live_document(self, tmp_path):
         rng = random.Random(31)
         docs = self._docs(120, seed=31)
-        index = ChunkIndex(tmp_path / "idx", compact_after_ops=25)
+        index = ChunkIndex(tmp_path / "idx")
         for start in range(0, 80, 20):
             index.add_documents(docs[start:start + 20])
         for step in range(30):
@@ -782,9 +875,11 @@ class TestKeptLines:
                     set_properties={"step": str(step)},
                     remove_properties=frozenset({rng.choice(["height", "name", "deleted"])}),
                     add_tags=frozenset({f"s{step % 3}"})))
+            if step in (5, 22):
+                index.compact()  # updated documents are encoded again, the others copied
             if step == 15:
                 index.close()
-                index = ChunkIndex(tmp_path / "idx", compact_after_ops=25)
+                index = ChunkIndex(tmp_path / "idx")
                 index.add_documents(docs[80:])
         index.compact()
         live = [index.get_document(i) for i in index.query(MatchAll())]
@@ -820,7 +915,7 @@ class TestPostings:
     def _round(rng, root, steps=60):
         """Seeded adds, updates, deletes, compactions and reopens; yields the
         index and the live documents after each step."""
-        index = ChunkIndex(root, compact_after_ops=40)
+        index = ChunkIndex(root)
         by_id: dict[str, IndexDocument] = {}
         tags = TAGS + ["berlin", "KÖLN"]  # lowered, they meet other tags
         for step in range(steps):
@@ -848,7 +943,7 @@ class TestPostings:
                 index.compact()
             else:
                 index.close()
-                index = ChunkIndex(root, compact_after_ops=40)
+                index = ChunkIndex(root)
             yield index, by_id
         index.close()
 

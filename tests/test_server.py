@@ -16,7 +16,7 @@ from collections import Counter
 import pytest
 import requests
 
-from georocket.errors import GeoRocketError, StorageError
+from georocket.errors import GeoRocketError, JsonMalformedError, StorageError
 from georocket.indexer import build_document
 from georocket.model import Format, MetadataDelta, parse_layer_path
 from georocket.query import parse_query
@@ -24,7 +24,7 @@ from georocket.server import EmbeddedServer, GeoRocketApp, ServerConfig, TaskSta
 from georocket.server.httpd import _Handler
 from georocket.store import StoredEntry
 
-from conftest import wait_for_pool_exit, wait_for_task
+from conftest import slowed_batches, wait_for_pool_exit, wait_for_task
 from gendata import make_citygml, make_geojson
 
 
@@ -590,8 +590,9 @@ class TestTasks:
 
 
 class TestAsyncContract:
-    def test_202_before_indexing_completes(self, server_factory):
-        srv = server_factory(index_throttle_ms=150, index_batch_size=1)
+    def test_202_before_indexing_completes(self, server_factory, monkeypatch):
+        monkeypatch.setattr(GeoRocketApp, "_handle_batch", slowed_batches(150))
+        srv = server_factory(index_batch_size=1)
         doc = make_geojson(8)
         resp = requests.post(srv.url + "/store/slow", data=doc)
         assert resp.status_code == 202
@@ -602,8 +603,9 @@ class TestAsyncContract:
         assert done["state"] == "FINISHED"
         assert done["chunksIndexed"] == done["chunksWritten"] == 8
 
-    def test_states_monotonic(self, server_factory):
-        srv = server_factory(index_throttle_ms=20, index_batch_size=1)
+    def test_states_monotonic(self, server_factory, monkeypatch):
+        monkeypatch.setattr(GeoRocketApp, "_handle_batch", slowed_batches(20))
+        srv = server_factory(index_batch_size=1)
         captured = []
         original_create = srv.app.tasks.create
 
@@ -646,8 +648,9 @@ class TestAsyncContract:
         assert TaskState.SPLITTING in observed
         assert TaskState.INDEXING in observed
 
-    def test_eventual_visibility_subset_never_garbage(self, server_factory):
-        srv = server_factory(index_throttle_ms=30, index_batch_size=2)
+    def test_eventual_visibility_subset_never_garbage(self, server_factory, monkeypatch):
+        monkeypatch.setattr(GeoRocketApp, "_handle_batch", slowed_batches(30))
+        srv = server_factory(index_batch_size=2)
         resp = requests.post(srv.url + "/store/ev", data=make_geojson(12))
         task_id = resp.json()["taskId"]
         while True:
@@ -754,7 +757,6 @@ class TestGarbageCollector:
         gc.collect()
         srv = server_factory(store_backend="filesystem", store_path=str(tmp_path / "s"),
                              index_path=str(tmp_path / "i"))
-        srv.app.index._compact_after_ops = 30
         features = make_geojson(25)
         for n in range(3):
             import_and_wait(srv.url, "/store/gc", features)
@@ -795,19 +797,24 @@ class TestGarbageCollector:
             assert at_start > 0
             layer = parse_layer_path("/f")
             finish(app.import_stream(layer, [make_geojson(20)]))
-            assert app.index.compactions == 0
-            app.index._compact_after_ops = 1
+            assert app.index.compactions == 0  # adds alone never compact
             app.update_metadata(layer, "", MetadataDelta(add_tags=frozenset({"t"})))
+            assert app.index.compactions == 0
+            # a delete that leaves half the log dead compacts on the request path
+            assert app.delete(layer, "", allow_all=True) == 20
             assert app.index.compactions == 1
-            after_update = gc.get_freeze_count()
-            assert after_update > at_start
-            # the worker settles too, once the task has finished
-            finish(app.import_stream(layer, [make_geojson(20)]))
+            assert gc.get_freeze_count() > at_start
+            # the worker settles too: a rolled-back import takes its indexed
+            # chunks out of the empty index again, which compacts
+            gc.unfreeze()
+            with pytest.raises(JsonMalformedError):
+                app.import_stream(layer, [make_geojson(20)[:-40]])
             deadline = time.time() + 10
-            while gc.get_freeze_count() <= after_update:
+            while gc.get_freeze_count() == 0:
                 assert time.time() < deadline
                 time.sleep(0.01)
             assert app.index.compactions > 1
+            assert len(app.index) == 0 and list(app.store.scan()) == []
         finally:
             app.close()
 
