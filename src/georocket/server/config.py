@@ -16,9 +16,11 @@ File shape (all keys optional)::
       "reconcile_on_start": true
     }
 
-Environment variables named ``GEOROCKET_<FIELD>`` (e.g. GEOROCKET_PORT,
-GEOROCKET_STORE_BACKEND, GEOROCKET_STORE_PATH) override file values.
-Unknown backends fail fast.
+A key the file format does not define, at the top level or in a section,
+is an error. Environment variables named ``GEOROCKET_<FIELD>`` (e.g.
+GEOROCKET_PORT, GEOROCKET_STORE_BACKEND, GEOROCKET_STORE_PATH) override file
+values; other ``GEOROCKET_*`` variables are left alone, since the CLI reads
+``GEOROCKET_URL``. Unknown backends fail fast.
 """
 
 from __future__ import annotations
@@ -57,6 +59,20 @@ class ServerConfig:
         return self
 
 
+# where a config file holds each ServerConfig field: a key maps to the field
+# it sets, or to the keys of the object it holds
+_FILE_KEYS = {
+    "host": "host",
+    "port": "port",
+    "reconcile_on_start": "reconcile_on_start",
+    "store": {"backend": "store_backend", "path": "store_path"},
+    "index": {"path": "index_path"},
+    "tasks": {"retention_seconds": "task_retention_seconds"},
+    "limits": {key: key for key in
+               ("max_concurrent_requests", "index_batch_size", "index_queue_size")},
+}
+
+
 def _from_file(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as f:
@@ -66,23 +82,24 @@ def _from_file(path: str) -> dict:
     if not isinstance(raw, dict):
         raise ConfigError("config file must hold a JSON object")
     values: dict = {}
-    for key in ("host", "port", "reconcile_on_start"):
-        if key in raw:
-            values[key] = raw[key]
-    store = raw.get("store", {})
-    if "backend" in store:
-        values["store_backend"] = store["backend"]
-    if "path" in store:
-        values["store_path"] = store["path"]
-    if "path" in raw.get("index", {}):
-        values["index_path"] = raw["index"]["path"]
-    if "retention_seconds" in raw.get("tasks", {}):
-        values["task_retention_seconds"] = raw["tasks"]["retention_seconds"]
-    limits = raw.get("limits", {})
-    for key in ("max_concurrent_requests", "index_batch_size", "index_queue_size"):
-        if key in limits:
-            values[key] = limits[key]
+    _read_keys(raw, _FILE_KEYS, "", values)
     return values
+
+
+def _read_keys(raw: dict, keys: dict, prefix: str, values: dict) -> None:
+    """Put the fields that ``raw`` sets into ``values``; a key the file format
+    does not define is an error, so a misspelt or removed setting cannot
+    silently leave its default in place."""
+    for key, value in raw.items():
+        target = keys.get(key)
+        if target is None:
+            raise ConfigError(f"unknown config key {prefix + key!r}")
+        if isinstance(target, dict):
+            if not isinstance(value, dict):
+                raise ConfigError(f"config key {prefix + key!r} must hold a JSON object")
+            _read_keys(value, target, f"{prefix}{key}.", values)
+        else:
+            values[target] = value
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(ServerConfig)}

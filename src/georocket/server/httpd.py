@@ -10,19 +10,38 @@ Endpoints::
     DELETE /store/{layer}?search=&properties=&tags=    remove properties / tags
     GET    /tasks/{id}                           import task status
 
+Each connection is served by one loop (``_Handler.handle``) that reads a
+request line and its header lines with ``readline``, calls the handler's
+``do_<METHOD>`` and flushes the response. Message syntax follows RFC 9112.
+The loop answers these requests itself, with ``Connection: close`` and the
+JSON error shape: a request line over 64 KiB (414); a header line over
+64 KiB or more than 100 header lines (431); a request line that is not
+three words, or whose version is not ``HTTP/<digits>.<digits>``; a header
+line without a colon, with whitespace before it, or folded onto the line
+before (obs-fold); ``Content-Length`` beside ``Transfer-Encoding``, and
+repeated ``Content-Length`` lines (400); a transfer coding other than
+``chunked`` and a method with no ``do_`` handler (501); HTTP/2 and later
+(505). A target starting ``//`` is reduced to one ``/``. An HTTP/1.0
+connection closes after the response unless the request says
+``Connection: keep-alive``, and ``Connection: close`` closes any.
+``Expect: 100-continue`` is answered at once.
+
 Request bodies may be Content-Length or chunked, optionally gzip-encoded.
 A request whose declared body the handler did not read in full (any body
 sent to GET, PUT or DELETE, or an upload refused with 503) is answered with
 ``Connection: close``, so the unread bytes are never parsed as a request.
 
-Connections are kept alive. Responses pass through one 64 KiB write buffer
-that is flushed once per request, so a response under 64 KiB (status line,
-headers and body) leaves in one send. Search responses stream with chunked
-transfer encoding in frames of at least 64 KiB; a mid-stream failure aborts
-the connection without the terminal chunk so clients cannot mistake a
-truncated document for a complete one. Errors are JSON
-``{"error": {"code", "message", "offset"?}}``. When all request slots are
-busy the server answers 503 instead of queueing unboundedly.
+Connections are kept alive. A response's status line and header lines are
+written as one string, with a ``Date`` formatted once a second, into a
+64 KiB write buffer that is flushed once per request, so a response under
+64 KiB (status line, headers and body) leaves in one send. Search responses
+stream with chunked transfer encoding in frames of at least 64 KiB; a
+mid-stream failure aborts the connection without the terminal chunk so
+clients cannot mistake a truncated document for a complete one. Errors are
+JSON ``{"error": {"code", "message", "offset"?}}``. When all request slots
+are busy the server answers 503 instead of queueing unboundedly. At DEBUG,
+each request is logged in one ``key=value`` line; with DEBUG off, nothing
+is formatted.
 
 Threads: a pool of ``max_concurrent_requests`` threads, named
 ``georocket-http-N``, starts with the server and lives as long as it. The
@@ -44,9 +63,10 @@ import json
 import logging
 import queue
 import re
+import socketserver
 import threading
+import time
 import zlib
-from http.server import BaseHTTPRequestHandler, HTTPServer
 from urllib.parse import parse_qs, unquote, urlsplit
 
 from .. import __version__
@@ -68,6 +88,17 @@ logger = logging.getLogger(__name__)
 # chunk-size [ chunk-ext ] CRLF (RFC 9112, section 7.1)
 _CHUNK_SIZE_LINE = re.compile(rb"([0-9A-Fa-f]+)(?:[ \t]*;[^\r\n]*)?\r\n")
 
+# HTTP-version (RFC 9112, section 2.3), with at most 10 digits a number
+_VERSION = re.compile(rb"HTTP/([0-9]{1,10})\.([0-9]{1,10})")
+
+# field-name ":" OWS field-value OWS, the name a token (RFC 9112, section 5);
+# a line ending in a bare LF is accepted (section 2.2)
+_FIELD_LINE = re.compile(rb"([-!#$%&'*+.^_`|~0-9A-Za-z]+):[ \t]*([^\r\n\x00]*?)[ \t]*\r?\n")
+
+# longest request line or header line, and most header lines, a request may have
+_MAX_LINE = 1 << 16
+_MAX_FIELDS = 100
+
 # responses are buffered up to this size, and export frames are at least as large
 _WRITE_BUFFER = 1 << 16
 
@@ -79,15 +110,32 @@ _STATUS_BY_CODE = {
     "XML_MALFORMED": 400,
     "JSON_MALFORMED": 400,
     "CONFIG": 400,
+    "BAD_REQUEST": 400,
     "MALFORMED_PATH": 404,
     "NOT_FOUND": 404,
     "DUPLICATE_ID": 409,
     "INCOMPATIBLE_PARENTS": 409,
     "UNKNOWN_ID": 404,
     "REQUEST_TIMEOUT": 408,
+    "URI_TOO_LONG": 414,
+    "HEADERS_TOO_LARGE": 431,
     "IO_ERROR": 500,
     "INTERNAL": 500,
+    "NOT_IMPLEMENTED": 501,
+    "VERSION_NOT_SUPPORTED": 505,
 }
+
+# reason phrases of the statuses the server sends
+_REASONS = {
+    200: "OK", 202: "Accepted", 400: "Bad Request", 404: "Not Found", 408: "Request Timeout",
+    409: "Conflict", 414: "URI Too Long", 431: "Request Header Fields Too Large",
+    500: "Internal Server Error", 501: "Not Implemented", 503: "Service Unavailable",
+    505: "HTTP Version Not Supported",
+}
+
+_DAYS = ("Mon", "Tue", "Wed", "Thu", "Fri", "Sat", "Sun")
+_MONTHS = ("", "Jan", "Feb", "Mar", "Apr", "May", "Jun", "Jul", "Aug", "Sep", "Oct", "Nov",
+           "Dec")
 
 
 def parse_property_specs(raw: str) -> dict[str, str]:
@@ -107,53 +155,171 @@ def parse_tag_list(raw: str) -> list[str]:
     return [t for t in raw.split(",") if t]
 
 
-class _Handler(BaseHTTPRequestHandler):
-    protocol_version = "HTTP/1.1"
-    server_version = f"georocket/{__version__}"
-    # handle_one_request flushes wfile after each request
+class _BadMessage(GeoRocketError):
+    """A request the loop answers itself, before any ``do_`` method runs:
+    its message is not HTTP/1.1 as this server reads it (RFC 9112)."""
+
+    def __init__(self, code: str, message: str):
+        super().__init__(message)
+        self.code = code
+
+
+class _Headers(dict):
+    """Request header fields by lower-cased name, a repeated field's values
+    joined by ``", "``; ``get`` and ``in`` take a name in any case."""
+
+    __slots__ = ()
+
+    def get(self, name: str, default=None):
+        return dict.get(self, name.lower(), default)
+
+    def __contains__(self, name: str) -> bool:
+        return dict.__contains__(self, name.lower())
+
+
+class _Handler(socketserver.StreamRequestHandler):
+    # responses collect here; handle flushes wfile after each request
     wbufsize = _WRITE_BUFFER
     # seconds a read or a write may wait; an idle kept-alive connection or
     # a stalled upload is then closed and its thread returns to the pool (an
     # overflow connection's thread exits), and so is a client that stops
     # reading a response, which then ends without its terminal chunk
     timeout = 60
+    command: str | None = None  # method of the request being served
+    path: str | None = None  # its target, a leading "//" reduced to "/"
+    headers: _Headers
+    close_connection = True  # whether the connection ends after this response
     _body_unread = False  # a declared request body not yet read to its end
 
     @property
     def app(self) -> GeoRocketApp:
         return self.server.app
 
-    def log_message(self, fmt, *args):
-        logger.debug("%s %s", self.address_string(), fmt % args)
+    # --- the request loop ---------------------------------------------------
 
-    # --- plumbing -----------------------------------------------------------
+    def handle(self) -> None:
+        self._served = 0  # requests read on this connection
+        with contextlib.suppress(TimeoutError):  # no request within the timeout
+            while self._serve_one():
+                pass
 
-    def parse_request(self) -> bool:
-        ok = super().parse_request()
-        self._body_unread = ok and (
-            "Transfer-Encoding" in self.headers
-            or self.headers.get("Content-Length", "").strip() not in ("", "0")
-        )
-        return ok
+    def _serve_one(self) -> bool:
+        """Read one request and answer it; whether the connection stays open."""
+        line = self.rfile.readline(_MAX_LINE + 1)
+        if line in (b"\r\n", b"\n"):  # one empty line before a request line is ignored
+            line = self.rfile.readline(_MAX_LINE + 1)
+        if not line:
+            return False
+        started = time.perf_counter() if logger.isEnabledFor(logging.DEBUG) else None
+        self._served += 1
+        self._status_code = self._sent = 0
+        self.command = self.path = None
+        self._body_unread = False
+        try:
+            handler = self._read_head(line)
+        except _BadMessage as e:
+            self._send_error_payload(e)
+        else:
+            handler()
+        self.wfile.flush()
+        if started is not None:
+            logger.debug("method=%s path=%s status=%d bytes=%d ms=%.3f request=%d",
+                         self.command, self.path, self._status_code, self._sent,
+                         (time.perf_counter() - started) * 1e3, self._served)
+        return not self.close_connection
 
-    def handle_expect_100(self) -> bool:
-        super().handle_expect_100()
-        self.wfile.flush()  # the client waits for it before sending the body
-        return True
+    def _read_head(self, line: bytes):
+        """Parse the request line ``line``, read the header lines, and return
+        the bound ``do_`` method that answers the request; a request the loop
+        must refuse raises ``_BadMessage``."""
+        self.close_connection = True
+        if len(line) > _MAX_LINE:
+            raise _BadMessage("URI_TOO_LONG", f"request line longer than {_MAX_LINE} bytes")
+        words = line.split()
+        if len(words) != 3:
+            raise _BadMessage("BAD_REQUEST", f"malformed request line {line[:200]!r}")
+        method, target, version = words
+        m = _VERSION.fullmatch(version)
+        if m is None:
+            raise _BadMessage("BAD_REQUEST", f"malformed HTTP version {version[:40]!r}")
+        number = int(m[1]), int(m[2])
+        if number >= (2, 0):
+            raise _BadMessage("VERSION_NOT_SUPPORTED",
+                              f"{version.decode('ascii')} is not supported")
+        http11 = number >= (1, 1)
+        self.close_connection = not http11  # HTTP/1.0 keeps it only if asked to
+        self.command = method.decode("latin-1")
+        path = target.decode("latin-1")
+        self.path = "/" + path.lstrip("/") if path.startswith("//") else path
 
-    def send_response(self, code, message=None) -> None:
-        super().send_response(code, message)
+        fields: dict[str, str] = {}
+        readline = self.rfile.readline
+        count = 0
+        while (field := readline(_MAX_LINE + 1)) not in (b"\r\n", b"\n", b""):
+            if len(field) > _MAX_LINE:
+                raise _BadMessage("HEADERS_TOO_LARGE", f"header line longer than {_MAX_LINE} bytes")
+            count += 1
+            if count > _MAX_FIELDS:
+                raise _BadMessage("HEADERS_TOO_LARGE", f"more than {_MAX_FIELDS} header lines")
+            m = _FIELD_LINE.fullmatch(field)
+            if m is None:
+                what = "folded" if field[:1] in b" \t" else "malformed"
+                raise _BadMessage("BAD_REQUEST", f"{what} header line {field[:200]!r}")
+            name = m[1].decode("ascii").lower()
+            value = m[2].decode("latin-1")
+            if name in fields:
+                if name == "content-length":
+                    raise _BadMessage("BAD_REQUEST", "repeated Content-Length")
+                value = f"{fields[name]}, {value}"
+            fields[name] = value
+        self.headers = _Headers(fields)
+
+        if "transfer-encoding" in fields:
+            # a body framed two ways could be read two ways (request smuggling)
+            if "content-length" in fields:
+                raise _BadMessage("BAD_REQUEST", "Content-Length beside Transfer-Encoding")
+            if fields["transfer-encoding"].lower() != "chunked":
+                raise _BadMessage("NOT_IMPLEMENTED", "the only transfer coding served is chunked")
+            self._body_unread = True
+        else:
+            self._body_unread = fields.get("content-length", "") not in ("", "0")
+        connection = fields.get("connection")
+        if connection is not None:
+            options = {option.strip() for option in connection.lower().split(",")}
+            if "close" in options:
+                self.close_connection = True
+            elif "keep-alive" in options:
+                self.close_connection = False
+        handler = getattr(self, "do_" + self.command, None)
+        if handler is None:
+            raise _BadMessage("NOT_IMPLEMENTED", f"unsupported method {self.command!r}")
+        if http11 and fields.get("expect", "").lower() == "100-continue":
+            self.wfile.write(b"HTTP/1.1 100 Continue\r\n\r\n")
+            self.wfile.flush()  # the client waits for it before sending the body
+        return handler
+
+    # --- responses ------------------------------------------------------------
+
+    def _head(self, status: int, fields: str) -> bytes:
+        """Status line and header section of a response whose own header
+        lines are ``fields``, with ``Server``, ``Date`` and, when the
+        connection ends after the response, ``Connection: close``."""
+        self._status_code = status
         if self._body_unread:
             # unread body bytes must not be parsed as the next request
-            self.send_header("Connection", "close")
+            self.close_connection = True
+        close = "Connection: close\r\n" if self.close_connection else ""
+        return (f"HTTP/1.1 {status} {_REASONS[status]}\r\n{self.server.standard_fields()}"
+                f"{fields}{close}\r\n").encode("latin-1")
+
+    def _write(self, data: bytes) -> None:
+        self._sent += len(data)
+        self.wfile.write(data)
 
     def _send_json(self, status: int, payload: dict) -> None:
         body = json.dumps(payload).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        self._write(self._head(
+            status, f"Content-Type: application/json\r\nContent-Length: {len(body)}\r\n") + body)
 
     def _send_error_payload(self, err: GeoRocketError) -> None:
         status = _STATUS_BY_CODE.get(err.code, 500)
@@ -204,12 +370,11 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _body_blocks(self):
         """Iterator over the (decoded) request body, never fully buffered."""
-        encoding = self.headers.get("Content-Encoding", "").lower().strip()
-        transfer = self.headers.get("Transfer-Encoding", "").lower()
-        if "chunked" in transfer:
+        encoding = self.headers.get("content-encoding", "").lower()
+        if "transfer-encoding" in self.headers:  # chunked, the only coding the loop lets pass
             raw = self._chunked_blocks()
         else:
-            length = self.headers.get("Content-Length")
+            length = self.headers.get("content-length")
             if length is None:
                 raise ParseError("request body requires Content-Length or chunked encoding")
             if not (length.isascii() and length.isdigit()):
@@ -307,10 +472,8 @@ class _Handler(BaseHTTPRequestHandler):
             else Format.XML
         )
         fmt, stream = self.app.search(layer, params.get("search", ""), default_format)
-        self.send_response(200)
-        self.send_header("Content-Type", content_type(fmt))
-        self.send_header("Transfer-Encoding", "chunked")
-        self.end_headers()
+        self._write(self._head(
+            200, f"Content-Type: {content_type(fmt)}\r\nTransfer-Encoding: chunked\r\n"))
         try:
             parts: list[bytes] = []
             size = 0
@@ -318,10 +481,10 @@ class _Handler(BaseHTTPRequestHandler):
                 parts.append(piece)
                 size += len(piece)
                 if size >= _WRITE_BUFFER:
-                    self.wfile.write(_frame(parts, size, b"\r\n"))
+                    self._write(_frame(parts, size, b"\r\n"))
                     parts, size = [], 0
             last = b"0\r\n\r\n"
-            self.wfile.write(_frame(parts, size, b"\r\n" + last) if size else last)
+            self._write(_frame(parts, size, b"\r\n" + last) if size else last)
         except Exception:
             # abort without the terminal chunk: the client sees a truncated
             # transfer instead of a silently incomplete document
@@ -386,7 +549,7 @@ def _gunzip(blocks):
         raise UnsupportedEncodingError(f"invalid gzip body: {e}") from e
 
 
-class GeoRocketHTTPServer(HTTPServer):
+class GeoRocketHTTPServer(socketserver.TCPServer):
     """Serves connections on a pool of long-lived threads (see the module
     docstring); ``server_close()`` ends the idle ones, and a busy one ends
     when its connection closes."""
@@ -396,6 +559,7 @@ class GeoRocketHTTPServer(HTTPServer):
     def __init__(self, config: ServerConfig, app: GeoRocketApp | None = None):
         self.app = app or GeoRocketApp(config)
         super().__init__((config.host, config.port), _Handler)
+        self._standard = (0, "")  # (second, the Server and Date header lines of that second)
         self._pool_lock = threading.Condition(threading.Lock())
         self._unclaimed = 0  # connections handed to a pool thread that has not woken yet
         inboxes = [queue.SimpleQueue() for _ in range(config.max_concurrent_requests)]
@@ -413,6 +577,18 @@ class GeoRocketHTTPServer(HTTPServer):
         ]
         for thread in self.pool_threads:
             thread.start()
+
+    def standard_fields(self) -> str:
+        """The ``Server`` and ``Date`` header lines, formatted once a second."""
+        now = int(time.time())
+        second, lines = self._standard
+        if second != now:
+            t = time.gmtime(now)
+            lines = (f"Server: georocket/{__version__}\r\n"
+                     f"Date: {_DAYS[t.tm_wday]}, {t.tm_mday:02d} {_MONTHS[t.tm_mon]} {t.tm_year}"
+                     f" {t.tm_hour:02d}:{t.tm_min:02d}:{t.tm_sec:02d} GMT\r\n")
+            self._standard = (now, lines)
+        return lines
 
     def process_request(self, request, client_address) -> None:
         with self._pool_lock:

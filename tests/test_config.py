@@ -66,3 +66,28 @@ class TestLoadConfig:
     def test_bad_env_value(self):
         with pytest.raises(ConfigError):
             load_config(None, env={"GEOROCKET_PORT": "eighty"})
+
+    @pytest.mark.parametrize("content,key", [
+        ({"index_throttle_ms": 30}, "'index_throttle_ms'"),
+        ({"limits": {"index_batchsize": 4}}, "'limits.index_batchsize'"),
+        ({"store": {"backend": "memory", "root": "/data"}}, "'store.root'"),
+        ({"index": {"path": "/i", "fsync": False}}, "'index.fsync'"),
+        ({"tasks": {"retention": 60}}, "'tasks.retention'"),
+    ], ids=["top-level", "limits", "store", "index", "tasks"])
+    def test_unknown_file_key_is_named(self, tmp_path, content, key):
+        path = tmp_path / "server.json"
+        path.write_text(json.dumps(content))
+        with pytest.raises(ConfigError, match=key):
+            load_config(str(path), env={})
+
+    def test_section_must_be_an_object(self, tmp_path):
+        path = tmp_path / "server.json"
+        path.write_text(json.dumps({"store": "memory"}))
+        with pytest.raises(ConfigError, match="'store' must hold a JSON object"):
+            load_config(str(path), env={})
+
+    def test_other_environment_variables_are_left_alone(self):
+        # GEOROCKET_URL belongs to the CLI
+        config = load_config(None, env={"GEOROCKET_URL": "http://localhost:1",
+                                        "GEOROCKET_PORT": "9090"})
+        assert config.port == 9090

@@ -1,17 +1,21 @@
+import email.utils
 import gc
 import http.client
 import io
 import json
 import logging
 import math
+import os
 import re
 import shutil
 import socket
+import subprocess
 import sys
 import threading
 import time
 import xml.etree.ElementTree as ET
 from collections import Counter
+from pathlib import Path
 
 import pytest
 import requests
@@ -464,6 +468,164 @@ class TestConnections:
         assert not set(stored) & set(app.store.scan())
         assert len(app.index) == 0
         assert not [r for r in caplog.records if r.levelno >= logging.ERROR]
+
+
+def read_response(sock) -> tuple[bytes, dict[str, str], bytes]:
+    """Read one Content-Length response: status, header fields by lower-cased
+    name, and body."""
+    data = b""
+    while b"\r\n\r\n" not in data:
+        block = sock.recv(65536)
+        assert block, data
+        data += block
+    head, _, body = data.partition(b"\r\n\r\n")
+    status_line, *lines = head.decode("latin-1").split("\r\n")
+    fields = {name.lower(): value.strip()
+              for name, _, value in (line.partition(":") for line in lines)}
+    while len(body) < int(fields["content-length"]):
+        block = sock.recv(65536)
+        assert block, body
+        body += block
+    return status_line.split(" ", 2)[1].encode(), fields, body
+
+
+class TestRequestLoop:
+    HUNDRED_AND_ONE = b"".join(b"X-F%d: v\r\n" % i for i in range(101))
+
+    @pytest.mark.parametrize("request_bytes,status,code", [
+        # exactly one byte over the limit and nothing after it, so that no
+        # unread byte makes the server's close a reset
+        (b"GET /" + b"a" * (65537 - 5), b"414", "URI_TOO_LONG"),
+        (b"GET / HTTP/1.1\r\nX-Long: " + b"a" * (65537 - 8), b"431", "HEADERS_TOO_LARGE"),
+        (b"GET / HTTP/1.1\r\n" + HUNDRED_AND_ONE + b"\r\n", b"431", "HEADERS_TOO_LARGE"),
+        (b"GET / HTTP/x.1\r\nHost: x\r\n\r\n", b"400", "BAD_REQUEST"),
+        (b"GET / HTTP/1\r\nHost: x\r\n\r\n", b"400", "BAD_REQUEST"),
+        (b"GET / FTP/1.1\r\nHost: x\r\n\r\n", b"400", "BAD_REQUEST"),
+        (b"GET / HTTP/1.1 x\r\nHost: x\r\n\r\n", b"400", "BAD_REQUEST"),
+        (b"GET /\r\nHost: x\r\n\r\n", b"400", "BAD_REQUEST"),
+        (b"GET / HTTP/2.0\r\nHost: x\r\n\r\n", b"505", "VERSION_NOT_SUPPORTED"),
+        (b"PATCH / HTTP/1.1\r\nHost: x\r\n\r\n", b"501", "NOT_IMPLEMENTED"),
+        (b"get / HTTP/1.1\r\nHost: x\r\n\r\n", b"501", "NOT_IMPLEMENTED"),
+        (b"POST /store/x HTTP/1.1\r\nHost: x\r\nTransfer-Encoding: gzip, chunked\r\n\r\n"
+         b"0\r\n\r\n", b"501", "NOT_IMPLEMENTED"),
+        (b"GET / HTTP/1.1\r\nHost x\r\n\r\n", b"400", "BAD_REQUEST"),
+        (b"GET / HTTP/1.1\r\nHost : x\r\n\r\n", b"400", "BAD_REQUEST"),
+        (b"GET / HTTP/1.1\r\nHost: x\r\nX-Folded: a\r\n b\r\n\r\n", b"400", "BAD_REQUEST"),
+        (b"POST /store/x HTTP/1.1\r\nHost: x\r\nContent-Length: 5\r\n"
+         b"Transfer-Encoding: chunked\r\n\r\n0\r\n\r\n", b"400", "BAD_REQUEST"),
+        (b"POST /store/x HTTP/1.1\r\nHost: x\r\nContent-Length: 4\r\nContent-Length: 4\r\n\r\n"
+         b"<r/>", b"400", "BAD_REQUEST"),
+    ], ids=["request-line-too-long", "header-line-too-long", "101-header-lines",
+            "version-not-digits", "version-without-minor", "not-http", "four-words",
+            "http-0.9", "http-2", "unknown-method", "lower-case-method", "not-chunked-coding",
+            "no-colon", "space-before-colon", "obs-fold", "length-and-chunked",
+            "repeated-length"])
+    def test_malformed_request_gets_json_error_and_close(self, server, request_bytes, status,
+                                                         code):
+        with socket.create_connection(server.httpd.server_address[:2], timeout=10) as sock:
+            sock.sendall(request_bytes)
+            got, fields, body = read_response(sock)
+            assert sock.recv(1) == b""  # closed after the response
+        assert got == status, body
+        assert fields["connection"] == "close"
+        assert fields["content-type"] == "application/json"
+        assert json.loads(body)["error"]["code"] == code
+
+    def test_double_slash_target_is_reduced(self, server):
+        import_and_wait(server.url, "/store/slash", make_geojson(2))
+        response, closed = raw_until_eof(
+            server, b"GET //store/slash?search=&format=geojson HTTP/1.1\r\nHost: x\r\n"
+                    b"Connection: close\r\n\r\n")
+        assert closed and response.startswith(b"HTTP/1.1 200 ")
+        _, data, complete = decode_chunked(response)
+        assert complete and len(json.loads(data)["features"]) == 2
+
+    def test_lower_case_header_names(self, server):
+        body = make_geojson(2)
+        status, reply = raw_exchange(
+            server, b"POST /store/lower HTTP/1.1\r\nhost: x\r\ncontent-length: %d\r\n"
+                    b"connection: close\r\n\r\n%s" % (len(body), body))
+        assert status == b"202", reply
+        status, reply = raw_exchange(
+            server, b"POST /store/lower HTTP/1.1\r\nhost: x\r\ntransfer-encoding: CHUNKED\r\n"
+                    b"connection: close\r\n\r\n%x\r\n%s\r\n0\r\n\r\n" % (len(body), body))
+        assert status == b"202", reply
+        task = wait_for_task(server.url, json.loads(reply)["taskId"])
+        assert task["chunksIndexed"] == 2
+
+    def test_http_1_0_closes_after_its_response(self, server):
+        with socket.create_connection(server.httpd.server_address[:2], timeout=10) as sock:
+            sock.sendall(b"GET / HTTP/1.0\r\n\r\n")
+            status, fields, body = read_response(sock)
+            assert sock.recv(1) == b""
+        assert status == b"200" and fields["connection"] == "close"
+        assert json.loads(body)["name"] == "georocket"
+
+    def test_http_1_0_keep_alive_is_honoured(self, server):
+        with socket.create_connection(server.httpd.server_address[:2], timeout=10) as sock:
+            for _ in range(2):
+                sock.sendall(b"GET / HTTP/1.0\r\nConnection: Keep-Alive\r\n\r\n")
+                status, fields, _ = read_response(sock)
+                assert status == b"200" and "connection" not in fields
+            sock.sendall(b"GET / HTTP/1.0\r\n\r\n")
+            assert read_response(sock)[0] == b"200"
+            assert sock.recv(1) == b""
+
+    @pytest.mark.parametrize("option", [b"close", b"Close", b"keep-alive, close"])
+    def test_connection_close_is_honoured(self, server, option):
+        with socket.create_connection(server.httpd.server_address[:2], timeout=10) as sock:
+            sock.sendall(b"GET / HTTP/1.1\r\nHost: x\r\nConnection: %s\r\n\r\n" % option)
+            status, fields, _ = read_response(sock)
+            assert sock.recv(1) == b""
+        assert status == b"200" and fields["connection"] == "close"
+
+    def test_date_and_server_fields(self, server):
+        with socket.create_connection(server.httpd.server_address[:2], timeout=10) as sock:
+            sock.sendall(b"GET / HTTP/1.1\r\nHost: x\r\n\r\n")
+            before = time.time()
+            _, fields, _ = read_response(sock)
+        assert re.fullmatch(r"georocket/\S+", fields["server"])
+        assert re.fullmatch(r"(Mon|Tue|Wed|Thu|Fri|Sat|Sun), \d\d (Jan|Feb|Mar|Apr|May|Jun|Jul"
+                            r"|Aug|Sep|Oct|Nov|Dec) \d{4} \d\d:\d\d:\d\d GMT", fields["date"])
+        date = email.utils.parsedate_to_datetime(fields["date"]).timestamp()
+        assert before - 2 <= date <= time.time() + 1
+
+    def test_access_log_line_per_request_at_debug(self, server, caplog):
+        caplog.set_level(logging.DEBUG, logger="georocket.server.httpd")
+        conn = http.client.HTTPConnection(*server.httpd.server_address[:2], timeout=10)
+        try:
+            for path in ("/", "/tasks/nothing"):
+                conn.request("GET", path)
+                conn.getresponse().read()
+        finally:
+            conn.close()
+        deadline = time.monotonic() + 5
+        while len(lines := [r.getMessage() for r in caplog.records
+                            if r.name == "georocket.server.httpd"]) < 2 \
+                and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert len(lines) == 2, lines
+        first = dict(pair.split("=", 1) for pair in lines[0].split(" "))
+        assert (first["method"], first["path"], first["status"], first["request"]) == (
+            "GET", "/", "200", "1")
+        assert int(first["bytes"]) > 100 and float(first["ms"]) >= 0
+        assert re.fullmatch(r"method=GET path=/tasks/nothing status=404 bytes=\d+ ms=[\d.]+ "
+                            r"request=2", lines[1])
+
+    def test_access_log_formats_nothing_without_debug(self, server, caplog, monkeypatch):
+        from georocket.server import httpd
+
+        caplog.set_level(logging.INFO, logger="georocket.server.httpd")
+        calls = []
+        monkeypatch.setattr(httpd.logger, "debug", lambda *a, **kw: calls.append(a))
+        conn = http.client.HTTPConnection(*server.httpd.server_address[:2], timeout=10)
+        try:
+            for _ in range(3):  # the third answer comes after the first two were logged
+                conn.request("GET", "/")
+                conn.getresponse().read()
+        finally:
+            conn.close()
+        assert calls == []
 
 
 class TestDelete:
@@ -1137,3 +1299,16 @@ class TestReconcile:
         report = reconcile(app.store, app.index)
         assert (report.dropped, report.reindexed, report.metadata_synced) == (0, 0, 0)
         app.close()
+
+
+def test_server_start_imports_no_http_client_email_or_ssl():
+    """The request loop parses HTTP itself; ``http.server`` would pull in
+    ``http.client``, ``email`` and ``ssl`` on every cold start."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = ("import sys, georocket.server.__main__\n"
+            "print(sorted(m for m in ('http.server', 'http.client', 'email', 'ssl') "
+            "if m in sys.modules))")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
