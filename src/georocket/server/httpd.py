@@ -59,6 +59,7 @@ get the 503.
 from __future__ import annotations
 
 import contextlib
+import http
 import json
 import logging
 import queue
@@ -92,8 +93,10 @@ _CHUNK_SIZE_LINE = re.compile(rb"([0-9A-Fa-f]+)(?:[ \t]*;[^\r\n]*)?\r\n")
 _VERSION = re.compile(rb"HTTP/([0-9]{1,10})\.([0-9]{1,10})")
 
 # field-name ":" OWS field-value OWS, the name a token (RFC 9112, section 5);
-# a line ending in a bare LF is accepted (section 2.2)
-_FIELD_LINE = re.compile(rb"([-!#$%&'*+.^_`|~0-9A-Za-z]+):[ \t]*([^\r\n\x00]*?)[ \t]*\r?\n")
+# a line ending in a bare LF is accepted (section 2.2). The value keeps its
+# OWS, which is stripped after the match: a pattern that matched OWS around
+# a lazy value would backtrack in time quadratic in a run of spaces
+_FIELD_LINE = re.compile(rb"([-!#$%&'*+.^_`|~0-9A-Za-z]+):([^\r\n\x00]*)\r?\n")
 
 # longest request line or header line, and most header lines, a request may have
 _MAX_LINE = 1 << 16
@@ -123,14 +126,6 @@ _STATUS_BY_CODE = {
     "INTERNAL": 500,
     "NOT_IMPLEMENTED": 501,
     "VERSION_NOT_SUPPORTED": 505,
-}
-
-# reason phrases of the statuses the server sends
-_REASONS = {
-    200: "OK", 202: "Accepted", 400: "Bad Request", 404: "Not Found", 408: "Request Timeout",
-    409: "Conflict", 414: "URI Too Long", 431: "Request Header Fields Too Large",
-    500: "Internal Server Error", 501: "Not Implemented", 503: "Service Unavailable",
-    505: "HTTP Version Not Supported",
 }
 
 _DAYS = ("Mon", "Tue", "Wed", "Thu", "Fri", "Sat", "Sun")
@@ -166,15 +161,12 @@ class _BadMessage(GeoRocketError):
 
 class _Headers(dict):
     """Request header fields by lower-cased name, a repeated field's values
-    joined by ``", "``; ``get`` and ``in`` take a name in any case."""
+    joined by ``", "``; ``get`` takes a name in any case."""
 
     __slots__ = ()
 
     def get(self, name: str, default=None):
         return dict.get(self, name.lower(), default)
-
-    def __contains__(self, name: str) -> bool:
-        return dict.__contains__(self, name.lower())
 
 
 class _Handler(socketserver.StreamRequestHandler):
@@ -266,7 +258,7 @@ class _Handler(socketserver.StreamRequestHandler):
                 what = "folded" if field[:1] in b" \t" else "malformed"
                 raise _BadMessage("BAD_REQUEST", f"{what} header line {field[:200]!r}")
             name = m[1].decode("ascii").lower()
-            value = m[2].decode("latin-1")
+            value = m[2].strip(b" \t").decode("latin-1")
             if name in fields:
                 if name == "content-length":
                     raise _BadMessage("BAD_REQUEST", "repeated Content-Length")
@@ -309,8 +301,8 @@ class _Handler(socketserver.StreamRequestHandler):
             # unread body bytes must not be parsed as the next request
             self.close_connection = True
         close = "Connection: close\r\n" if self.close_connection else ""
-        return (f"HTTP/1.1 {status} {_REASONS[status]}\r\n{self.server.standard_fields()}"
-                f"{fields}{close}\r\n").encode("latin-1")
+        return (f"HTTP/1.1 {status} {http.HTTPStatus(status).phrase}\r\n"
+                f"{self.server.standard_fields()}{fields}{close}\r\n").encode("latin-1")
 
     def _write(self, data: bytes) -> None:
         self._sent += len(data)

@@ -531,6 +531,26 @@ class TestRequestLoop:
         assert fields["content-type"] == "application/json"
         assert json.loads(body)["error"]["code"] == code
 
+    def test_long_run_of_spaces_in_a_field_value_does_not_stall_the_server(self, server):
+        # a header line of 64 KiB, a run of spaces inside its value: a parse
+        # that backtracks through the run would hold every thread for minutes
+        start = b"X-Spaces: a"
+        line = start + b" " * ((1 << 16) - len(start) - 3) + b"b\r\n"
+        address = server.httpd.server_address[:2]
+        with socket.create_connection(address, timeout=10) as spaces, \
+                socket.create_connection(address, timeout=10) as other:
+            spaces.sendall(b"GET / HTTP/1.1\r\nHost: x\r\n" + line * 3 + b"\r\n")
+            other.sendall(b"GET / HTTP/1.1\r\nHost: x\r\n\r\n")
+            assert read_response(other)[0] == b"200"
+            assert read_response(spaces)[0] == b"200"
+
+    def test_whitespace_around_a_field_value_is_ignored(self, server):
+        body = make_geojson(2)
+        status, reply = raw_exchange(
+            server, b"POST /store/ows HTTP/1.1\r\nHost: x\r\nContent-Length: \t %d \t\r\n"
+                    b"Connection:close \r\n\r\n%s" % (len(body), body))
+        assert status == b"202", reply
+
     def test_double_slash_target_is_reduced(self, server):
         import_and_wait(server.url, "/store/slash", make_geojson(2))
         response, closed = raw_until_eof(
