@@ -9,7 +9,13 @@ Extraction is the largest stage of an import, and its cost is the Python
 run per node, so both passes keep that small and hand whole runs of data
 to C-level code (``str.split``, ``map``, ``min``, ``set``):
 
-- XML is read in one ``pyexpat`` pass. Each tag is classified once per parse
+- XML is read by the handlers that ``project_xml_element`` installs on a
+  ``pyexpat`` parser. There is one set of handlers and two drivers: the XML
+  splitter installs them at the start of each chunk of an import, so an
+  imported chunk is projected in the pass that splits it, and
+  ``build_document`` installs them on a parser of its own for a chunk read
+  from the store (reconcile, and documents whose DOCTYPE declares
+  anything). Each tag is classified once per parse
   (geometry, ``value``, ``*Attribute`` or plain) in a dict. Only elements
   that carry ``srsDimension`` or a generic attribute's name push a frame.
   Until one of those, a geometry or a ``value`` opens, lean handlers serve
@@ -50,22 +56,16 @@ from .documents import IndexDocument, IndexedAttribute
 
 def build_document(entry) -> IndexDocument:
     """Index projection of a stored entry (content + metadata snapshot)."""
-    bbox, attributes, tokens = _extract(entry.metadata.format, entry.content)
-    return IndexDocument(
-        chunk_id=entry.id,
-        bbox=bbox,
-        attributes=tuple(attributes),
-        tokens=tuple(sorted(tokens)),
-        metadata=entry.metadata,
-        sequence=entry.sequence,
-    )
+    extract = _xml_extract if entry.metadata.format == Format.XML else _geojson_extract
+    return projected_document(entry.id, extract(entry.content), entry.metadata, entry.sequence)
 
 
-def _extract(fmt: Format, content: bytes):
-    """(bbox, attributes, tokens) of one chunk's content."""
-    if fmt == Format.XML:
-        return _xml_extract(content)
-    return _geojson_extract(content)
+def projected_document(chunk_id: str, projection, metadata, sequence: int) -> IndexDocument:
+    """The index document of a chunk whose content gave ``projection``,
+    ``(bbox, attributes, tokens)`` as an extraction pass returns them."""
+    bbox, attributes, tokens = projection
+    return IndexDocument(chunk_id, bbox, tuple(attributes), tuple(sorted(tokens)), metadata,
+                         sequence)
 
 
 def _bbox(xs: list, ys: list) -> BoundingBox | None:
@@ -109,6 +109,9 @@ def _plain_positions(dim: int) -> re.Pattern:
 _PLAIN_POSITIONS = {2: _plain_positions(2), 3: _plain_positions(3)}
 
 _PLAIN, _GEOMETRY, _VALUE, _ATTRIBUTE = range(4)
+_HANDLERS = ("StartElementHandler", "EndElementHandler", "CharacterDataHandler",
+             "SkippedEntityHandler", "CommentHandler", "ProcessingInstructionHandler",
+             "StartCdataSectionHandler", "EndCdataSectionHandler")
 _SRS_DIMENSION, _NAME = 1, 2
 
 
@@ -127,9 +130,37 @@ def _attribute_kind(key: str) -> int:
 
 
 def _xml_extract(content: bytes):
-    """Single pass over an XML chunk feeding bbox, attribute, and token
-    extraction. Malformed content yields what was read before the error;
-    absence of patterns is not an error."""
+    """Projection of one XML chunk in a parse of its own. Malformed content
+    yields what was read before the error; absence of patterns is not an
+    error."""
+    parser = expat.ParserCreate()
+    parser.UseForeignDTD(True)
+    parser.ordered_attributes = True
+    parser.buffer_text = True
+    finish = project_xml_element(parser, _nothing)
+    try:
+        parser.Parse(content, True)
+    except expat.ExpatError:
+        parser.buffer_text = False  # delivers the text read before the error
+    return finish()
+
+
+def _nothing() -> None:
+    pass
+
+
+def project_xml_element(parser, on_end):
+    """Install on ``parser`` the handlers that project the element whose
+    start event comes next; return ``finish``, whose call gives its
+    ``(bbox, attributes, tokens)``.
+
+    ``on_end()`` is called from that element's end event, when the projection
+    is complete. The parser must be made with ``ordered_attributes`` and
+    ``buffer_text`` set and a foreign DTD in use, and nothing else may handle
+    its events until then. ``finish`` also removes the handlers from the
+    parser and cuts the reference cycles between them, so it must be called
+    once the pass is over, also when the input was malformed.
+    """
     xs: list = []
     ys: list = []
     attributes: list[IndexedAttribute] = []
@@ -144,8 +175,11 @@ def _xml_extract(content: bytes):
     frames: list = [(0, 2, None)]
     # While a frame, a geometry or a value is open, ``start`` and ``end``
     # handle every element, and depth counts from the element that opened
-    # it; otherwise ``start_outside`` and ``end_outside`` do.
+    # it; otherwise ``start_outside`` and ``end_outside`` do, and ``outer``
+    # counts the elements open outside them (the projected element ends
+    # when it falls to 0).
     depth = 0
+    outer = 0
     geom_depth = 0  # > 0 while inside a coordinate-bearing element
     geom_dim = 2
     geom_text: list[str] = []
@@ -163,7 +197,8 @@ def _xml_extract(content: bytes):
     numerals: set[str] = set()  # their numbers, for the tokens
 
     def start_outside(tag, attrs):
-        nonlocal depth
+        nonlocal depth, outer
+        outer += 1
         if attrs or kinds.get(tag, True):
             depth = 0
             start(tag, attrs)
@@ -174,7 +209,11 @@ def _xml_extract(content: bytes):
             texts_append(" ")
 
     def end_outside(tag):
+        nonlocal outer
         texts_append(" ")
+        outer -= 1
+        if not outer:
+            on_end()
 
     def start(tag, attrs):
         nonlocal depth, geom_depth, geom_dim, value_depth, value_key, flat, flat_mark
@@ -227,7 +266,7 @@ def _xml_extract(content: bytes):
             frames.append((depth, dim, key))
 
     def end(tag):
-        nonlocal depth, geom_depth, value_depth, value_key, flat, plain_dim
+        nonlocal depth, outer, geom_depth, value_depth, value_key, flat, plain_dim
         kind = kinds[tag]
         if kind == _GEOMETRY:
             geom_depth -= 1
@@ -271,6 +310,9 @@ def _xml_extract(content: bytes):
         if not depth:  # the element that opened everything in scope
             parser.StartElementHandler = start_outside
             parser.EndElementHandler = end_outside
+            outer -= 1
+            if not outer:
+                on_end()
 
     def text(data):
         texts_append(data)
@@ -290,10 +332,20 @@ def _xml_extract(content: bytes):
             unflatten()
         texts_append(" ")
 
-    parser = expat.ParserCreate()
-    parser.UseForeignDTD(True)
-    parser.ordered_attributes = True
-    parser.buffer_text = True
+    def finish():
+        nonlocal parser, start_outside
+        for name in _HANDLERS:
+            setattr(parser, name, None)
+        # the handlers refer to the parser and to each other: cut those
+        # cycles, so that the pass is freed without the garbage collector
+        parser = start_outside = None
+        _add_plain(plain, plain_dim, xs, ys, numerals)
+        # whitespace never joins a token, so tokenize each distinct word once
+        tokens = tokenize(" ".join(set("".join(texts).split())))
+        if numerals:
+            tokens.update(" ".join(numerals).replace("-", "").split())
+        return _bbox(xs, ys), attributes, tokens
+
     parser.StartElementHandler = start_outside
     parser.EndElementHandler = end_outside
     parser.CharacterDataHandler = texts_append
@@ -304,21 +356,7 @@ def _xml_extract(content: bytes):
     parser.ProcessingInstructionHandler = boundary
     parser.StartCdataSectionHandler = boundary
     parser.EndCdataSectionHandler = boundary
-    try:
-        parser.Parse(content, True)
-    except expat.ExpatError:
-        parser.buffer_text = False  # delivers the text read before the error
-    finally:
-        # the handlers refer to the parser and to each other: cut those
-        # cycles, so that the pass is freed without the garbage collector
-        parser = start_outside = None
-    _add_plain(plain, plain_dim, xs, ys, numerals)
-
-    # whitespace never joins a token, so tokenize each distinct word once
-    tokens = tokenize(" ".join(set("".join(texts).split())))
-    if numerals:
-        tokens.update(" ".join(numerals).replace("-", "").split())
-    return _bbox(xs, ys), attributes, tokens
+    return finish
 
 
 def _add_plain(runs: list, dim: int, xs: list, ys: list, numerals: set) -> None:

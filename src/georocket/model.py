@@ -102,10 +102,14 @@ class BoundingBox:
     max_y: float
 
     def __post_init__(self):
-        for v in (self.min_x, self.min_y, self.max_x, self.max_y):
-            if not isinstance(v, (int, float)) or not _finite(float(v)):
-                raise ValueError(f"bounding box component {v!r} is not a finite number")
-        if self.min_x > self.max_x or self.min_y > self.max_y:
+        x0, y0, x1, y1 = self.min_x, self.min_y, self.max_x, self.max_y
+        # four floats with a finite sum are four finite floats
+        if not (type(x0) is type(y0) is type(x1) is type(y1) is float
+                and _finite(x0 + y0 + x1 + y1)):
+            for v in (x0, y0, x1, y1):
+                if not isinstance(v, (int, float)) or not _finite(float(v)):
+                    raise ValueError(f"bounding box component {v!r} is not a finite number")
+        if x0 > x1 or y0 > y1:
             raise ValueError("bounding box has min > max")
 
     @classmethod

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import ctypes
 import logging
 import signal
 import sys
@@ -12,6 +13,24 @@ from ..errors import ConfigError
 from .config import load_config
 from .httpd import EmbeddedServer
 
+_M_ARENA_MAX = -8  # glibc's mallopt parameter number
+
+
+def _one_malloc_arena() -> None:
+    """Make every thread of the process allocate from glibc's main arena.
+
+    The interpreter lock lets one thread run Python at a time, so arenas of
+    their own give threads no parallelism; each only keeps the free memory
+    of the largest work its thread did, such as an import's split and
+    extraction on whichever pool thread served it. Without glibc nothing
+    changes.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt(_M_ARENA_MAX, 1)
+
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="georocket-server")
@@ -20,6 +39,7 @@ def main(argv=None) -> int:
     parser.add_argument("--port", type=int, help="override the listen port")
     parser.add_argument("-v", "--verbose", action="store_true")
     args = parser.parse_args(argv)
+    _one_malloc_arena()  # before the first thread starts
 
     logging.basicConfig(
         level=logging.DEBUG if args.verbose else logging.INFO,

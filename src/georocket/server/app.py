@@ -2,9 +2,12 @@
 
 An import streams through the splitter into the store; each written chunk
 id is handed to the index worker through a bounded queue (back-pressure:
-when the indexer lags, the splitter stalls). The import is acknowledged
-once all chunks are stored; indexing continues in the background and the
-task reports both counters. Imports are all-or-nothing: the task keeps the
+when the indexer lags, the splitter stalls). An XML chunk arrives from the
+splitter with its index projection, which travels with the id, and the
+worker builds its index document without reading the store; a GeoJSON chunk
+is read back and extracted by the worker. The import is acknowledged once
+all chunks are stored; indexing continues in the background and the task
+reports both counters. Imports are all-or-nothing: the task keeps the
 ids of its chunks until it ends, and when its split fails or a batch holding
 any of its chunks fails to index, the worker removes every chunk the task
 wrote, store first, then index, and fails the task. A batch that fails fails every task
@@ -43,6 +46,7 @@ import time
 
 from ..errors import GeoRocketError, NotFoundError, ParseError, UnknownIdError
 from ..indexer import ChunkIndex, build_document
+from ..indexer.extract import projected_document
 from ..merger import merge
 from ..model import ChunkMetadata, Format, LayerPath, MetadataDelta
 from ..ids import new_chunk_id
@@ -129,7 +133,10 @@ class GeoRocketApp:
                     )
                 )
                 task.add_written(chunk_id)
-                self._queue.put(("add", task, chunk_id))
+                # a chunk the splitter projected is indexed without a store read
+                projected = (None if chunk.projection is None
+                             else (chunk.projection, metadata, chunk.sequence))
+                self._queue.put(("add", task, chunk_id, projected))
             task.splitting_done()
             return task
         except BaseException as e:
@@ -262,15 +269,18 @@ class GeoRocketApp:
         docs = []
         tasks = []
         dead = []
-        for _, task, chunk_id in batch:
+        for _, task, chunk_id, projected in batch:
             if task.state is TaskState.FAILED:
                 dead.append(chunk_id)  # written after its task was rolled back
                 continue
-            try:
-                entry = self.store.get(chunk_id)
-            except NotFoundError:
-                continue  # rolled back or deleted before indexing
-            docs.append(build_document(entry))
+            if projected is not None:
+                docs.append(projected_document(chunk_id, *projected))
+            else:
+                try:
+                    entry = self.store.get(chunk_id)
+                except NotFoundError:
+                    continue  # rolled back or deleted before indexing
+                docs.append(build_document(entry))
             tasks.append(task)
         if dead:
             self.store.delete(dead)

@@ -4,7 +4,7 @@ Endpoints::
 
     GET    /                                     service metadata
     POST   /store/{layer}?tags=&props=&fallbackCRS=   import (202 + task id)
-    GET    /store/{layer}?search=&format=        merged export (chunked stream)
+    GET    /store/{layer}?search=&format=        merged export (streamed)
     DELETE /store/{layer}?search=&all=           delete matching chunks
     PUT    /store/{layer}?search=&properties=&tags=    set properties / add tags
     DELETE /store/{layer}?search=&properties=&tags=    remove properties / tags
@@ -37,7 +37,9 @@ written as one string, with a ``Date`` formatted once a second, into a
 64 KiB (status line, headers and body) leaves in one send. Search responses
 stream with chunked transfer encoding in frames of at least 64 KiB; a
 mid-stream failure aborts the connection without the terminal chunk so
-clients cannot mistake a truncated document for a complete one. Errors are
+clients cannot mistake a truncated document for a complete one. An HTTP/1.0
+client gets the same frames without the coding, and the connection closes
+after the body, which is what delimits it (RFC 9112 section 6.1). Errors are
 JSON ``{"error": {"code", "message", "offset"?}}``. When all request slots
 are busy the server answers 503 instead of queueing unboundedly. At DEBUG,
 each request is logged in one ``key=value`` line; with DEBUG off, nothing
@@ -180,6 +182,7 @@ class _Handler(socketserver.StreamRequestHandler):
     command: str | None = None  # method of the request being served
     path: str | None = None  # its target, a leading "//" reduced to "/"
     headers: _Headers
+    http11 = True  # whether the request's version is HTTP/1.1 or later
     close_connection = True  # whether the connection ends after this response
     _body_unread = False  # a declared request body not yet read to its end
 
@@ -238,7 +241,7 @@ class _Handler(socketserver.StreamRequestHandler):
         if number >= (2, 0):
             raise _BadMessage("VERSION_NOT_SUPPORTED",
                               f"{version.decode('ascii')} is not supported")
-        http11 = number >= (1, 1)
+        self.http11 = http11 = number >= (1, 1)
         self.close_connection = not http11  # HTTP/1.0 keeps it only if asked to
         self.command = method.decode("latin-1")
         path = target.decode("latin-1")
@@ -464,8 +467,14 @@ class _Handler(socketserver.StreamRequestHandler):
             else Format.XML
         )
         fmt, stream = self.app.search(layer, params.get("search", ""), default_format)
-        self._write(self._head(
-            200, f"Content-Type: {content_type(fmt)}\r\nTransfer-Encoding: chunked\r\n"))
+        if self.http11:
+            frame, last, coding = _frame, b"0\r\n\r\n", "Transfer-Encoding: chunked\r\n"
+        else:
+            # an HTTP/1.0 client knows no chunked coding: the body ends
+            # where the connection does
+            frame, last, coding = _unframed, b"", ""
+            self.close_connection = True
+        self._write(self._head(200, f"Content-Type: {content_type(fmt)}\r\n{coding}"))
         try:
             parts: list[bytes] = []
             size = 0
@@ -473,10 +482,9 @@ class _Handler(socketserver.StreamRequestHandler):
                 parts.append(piece)
                 size += len(piece)
                 if size >= _WRITE_BUFFER:
-                    self._write(_frame(parts, size, b"\r\n"))
+                    self._write(frame(parts, size, b"\r\n"))
                     parts, size = [], 0
-            last = b"0\r\n\r\n"
-            self._write(_frame(parts, size, b"\r\n" + last) if size else last)
+            self._write(frame(parts, size, b"\r\n" + last) if size else last)
         except Exception:
             # abort without the terminal chunk: the client sees a truncated
             # transfer instead of a silently incomplete document
@@ -517,6 +525,12 @@ class _Handler(socketserver.StreamRequestHandler):
 def _frame(parts: list[bytes], size: int, tail: bytes) -> bytes:
     """One chunked-coding frame of ``parts`` (``size`` bytes), then ``tail``."""
     return b"".join([b"%x\r\n" % size, *parts, tail])
+
+
+def _unframed(parts: list[bytes], size: int, tail: bytes) -> bytes:
+    """``_frame`` without the chunked coding (size line and ``tail``), for a
+    body that the end of the connection delimits."""
+    return b"".join(parts)
 
 
 def _timeout_as_error(blocks, seconds):

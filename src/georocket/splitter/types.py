@@ -14,12 +14,16 @@ class RawChunk:
     ``content`` is a verbatim byte range of the imported file; ``sequence``
     is the feature's position in source order; ``crs_hint`` is the nearest
     spatial reference system identifier found at or above the feature.
+    ``projection`` is the ``(bbox, attributes, tokens)`` that extraction
+    finds in ``content``, when the splitter found it while parsing (XML),
+    and None otherwise.
     """
 
     content: bytes
     parents: "XmlParents | GeoJsonParents"
     sequence: int
     crs_hint: str | None = None
+    projection: tuple | None = None
 
     def __post_init__(self):
         if not self.content:

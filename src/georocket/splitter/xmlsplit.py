@@ -13,6 +13,15 @@ any DOCTYPE. Character data directly under the root is expected to be
 whitespace and is dropped. Input must be UTF-8 (or US-ASCII); an XML
 declaration naming another encoding is rejected. Entities that are not
 declared (such as ``&nbsp;``) are accepted and left as they are.
+
+The same pass projects each chunk for the index: from the start of each
+direct child of the root to its end, the parser's handlers are those of
+``indexer.extract.project_xml_element``, so every chunk arrives with the
+bounding box, attributes and tokens that ``build_document`` finds in its
+bytes, and nothing parses it again. Between chunks only the splitter's own
+start handler is set. Under a DOCTYPE with an internal subset, whose entity
+and attribute declarations a chunk's bytes read alone would not see, chunks
+carry no projection and are extracted from their stored bytes.
 """
 
 from __future__ import annotations
@@ -21,6 +30,7 @@ import re
 from xml.parsers import expat
 
 from ..errors import UnsupportedEncodingError, XmlMalformedError
+from ..indexer.extract import project_xml_element
 from ..model import XmlParents
 from .types import RawChunk
 
@@ -89,51 +99,65 @@ class XmlSplitter:
             declaration = bytes(buf[: end + 2])
 
         base = 0  # absolute offset of buf[0]
-        depth = 0
         parents = None
         doc_crs = None
+        internal_subset = False
         chunk_start = -1  # absolute offset of the open chunk, -1 when none
-        done: list[tuple[int, int, str]] = []  # (start, end event offset, name)
+        chunk_name = ""
+        finish = None  # ends the open chunk's projection
+        # (start, end event offset, name, projection) of each chunk ended
+        done: list[tuple[int, int, str, tuple | None]] = []
 
         parser = expat.ParserCreate(encoding="utf-8")
         parser.UseForeignDTD(True)  # undeclared entities are not errors
         parser.ordered_attributes = True
+        parser.buffer_text = True
 
         def start(name, attrs):
-            nonlocal depth, chunk_start, parents, doc_crs
-            if depth == 1:
+            # the root, then each direct child of it: between chunks, this is
+            # the only handler set
+            nonlocal chunk_start, chunk_name, finish, parents, doc_crs
+            if parents is not None:
                 chunk_start = parser.CurrentByteIndex + first
-            elif depth == 0:
-                pos = parser.CurrentByteIndex + first - base
-                root_start = bytes(buf[pos : _START_TAG.match(buf, pos).end()])
-                if root_start.endswith(b"/>"):
-                    root_start = root_start[:-2].rstrip(_WS) + b">"
-                doc_crs = next(
-                    (v for a, v in parse_attributes(root_start) if a.rpartition(":")[2] == "srsName"),
-                    None,
-                )
-                parents = XmlParents(
-                    root_start=root_start,
-                    root_end=b"</" + name.encode("utf-8") + b">",
-                    declaration=declaration,
-                )
-            depth += 1
+                chunk_name = name
+                finish = project_xml_element(parser, end_chunk)
+                parser.StartElementHandler(name, attrs)
+                return
+            pos = parser.CurrentByteIndex + first - base
+            root_start = bytes(buf[pos : _START_TAG.match(buf, pos).end()])
+            if root_start.endswith(b"/>"):
+                root_start = root_start[:-2].rstrip(_WS) + b">"
+            doc_crs = next(
+                (v for a, v in parse_attributes(root_start) if a.rpartition(":")[2] == "srsName"),
+                None,
+            )
+            parents = XmlParents(
+                root_start=root_start,
+                root_end=b"</" + name.encode("utf-8") + b">",
+                declaration=declaration,
+            )
 
-        def end(name):
-            nonlocal depth, chunk_start
-            depth -= 1
-            if depth == 1:
-                done.append((chunk_start, parser.CurrentByteIndex + first, name))
-                chunk_start = -1
+        def end_chunk():
+            nonlocal chunk_start, finish
+            projection = finish()
+            done.append((chunk_start, parser.CurrentByteIndex + first, chunk_name,
+                         None if internal_subset else projection))
+            chunk_start = -1
+            finish = None
+            parser.StartElementHandler = start
 
-        def expand_nothing(*_):
+        def doctype(name, system_id, public_id, has_internal_subset):
+            nonlocal internal_subset
+            # declarations (entities, attribute defaults) apply to the
+            # document but not to a chunk's bytes read alone, so such
+            # chunks are projected from their stored bytes instead
+            internal_subset = bool(has_internal_subset)
             # a default handler stops internal entities from being expanded
             # into elements that are not in the input bytes
             parser.DefaultHandler = lambda data: None
 
         parser.StartElementHandler = start
-        parser.EndElementHandler = end
-        parser.StartDoctypeDeclHandler = expand_nothing
+        parser.StartDoctypeDeclHandler = doctype
 
         sequence = 0
         env_crs = None
@@ -149,11 +173,12 @@ class XmlSplitter:
                 except expat.ExpatError as e:
                     offset = max(parser.ErrorByteIndex, 0) + first
                     error = XmlMalformedError(expat.errors.messages[e.code], offset=offset)
-                for a, b, name in done:
+                for a, b, name, projection in done:
                     content = _chunk_bytes(buf, a - base, b - base)
                     own_crs = _first_srs_name(content)
                     yield RawChunk(content=content, parents=parents, sequence=sequence,
-                                   crs_hint=own_crs or env_crs or doc_crs)
+                                   crs_hint=own_crs or env_crs or doc_crs,
+                                   projection=projection)
                     if name.rpartition(":")[2] in _ENVELOPE_NAMES:
                         env_crs = own_crs or env_crs
                     sequence += 1
@@ -175,8 +200,13 @@ class XmlSplitter:
         finally:
             # the handlers refer to the parser; without them the parser and
             # the retained input are freed now, not by a later full collection
-            parser.StartElementHandler = parser.EndElementHandler = None
-            parser.StartDoctypeDeclHandler = None
+            if finish is not None:  # a chunk left open by an error
+                finish()
+            parser.StartElementHandler = parser.StartDoctypeDeclHandler = None
+            parser.DefaultHandler = None
+            # they refer to each other, and a raised error's traceback to
+            # this frame
+            start = end_chunk = error = None
 
 
 def _chunk_bytes(buf: bytearray, a: int, b: int) -> bytes:

@@ -11,7 +11,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from georocket.errors import XmlMalformedError
 from georocket.indexer import build_document
+from georocket.indexer.extract import projected_document
 from georocket.model import (
     ChunkMetadata,
     CollectionKind,
@@ -21,7 +23,7 @@ from georocket.model import (
     XmlParents,
     parse_layer_path,
 )
-from georocket.splitter import RawChunk
+from georocket.splitter import RawChunk, split_xml
 from georocket.store import StoredEntry
 
 from extract_reference import reference_extract
@@ -539,3 +541,133 @@ def xml_elements(draw, depth=0):
 def xml_documents(draw):
     root = draw(xml_elements())
     return draw(st.sampled_from([root, f"<w xmlns:gml='g'>{root}</w>", f"<?xml version='1.0'?>{root}"]))
+
+
+# --- projections made while splitting ------------------------------------------
+
+
+def split_projections(doc: bytes, block_size: int) -> list:
+    """(chunk, ``build_document`` of its stored bytes, the document built from
+    the projection the splitter gave it) for each chunk of ``doc``, up to the
+    first error."""
+    blocks = [doc[i : i + block_size] for i in range(0, len(doc), block_size)]
+    out = []
+    try:
+        for chunk in split_xml(blocks):
+            stored = project(chunk)
+            projected = None if chunk.projection is None else projected_document(
+                stored.chunk_id, chunk.projection, stored.metadata, stored.sequence)
+            out.append((chunk, stored, projected))
+    except XmlMalformedError:
+        pass
+    return out
+
+
+def assert_projected_as_stored(doc: bytes, internal_subset: bool = False) -> None:
+    """At every block size, each chunk's projection equals ``build_document``
+    of its bytes; reprs tell -0.0 from 0.0 and compare NaN. Under a DOCTYPE
+    with declarations, chunks carry none."""
+    for block_size in (1, 7, 65536):
+        for chunk, stored, projected in split_projections(doc, block_size):
+            if internal_subset:
+                assert chunk.projection is None
+            else:
+                assert repr(projected) == repr(stored), (block_size, chunk.content)
+
+
+XML_ROOT_ATTRIBUTES = st.lists(
+    st.one_of(XML_ATTRIBUTES, st.tuples(st.sampled_from(["srsName", "gml:srsName", "xmlns:gml"]),
+                                        st.sampled_from(["EPSG:25832", "urn:x", ""]))),
+    max_size=3, unique_by=lambda kv: kv[0])
+XML_BETWEEN = st.sampled_from([
+    "", "\n  ", " ", "<!-- between -->", "<?pi between?>", "stray text 12", "&nbsp;", "&amp;",
+    "<![CDATA[7 8 <x>]]>", "&#49;",
+])
+XML_DOCTYPES = [
+    ("", False),
+    ("<!DOCTYPE r>", False),
+    ('<!DOCTYPE r SYSTEM "r.dtd">', False),
+    ('<!DOCTYPE r [<!ENTITY nbsp "n b s p">]>', True),
+    ('<!DOCTYPE r [<!ENTITY e "<pos>1 2</pos>"><!ATTLIST pos srsDimension CDATA "3">]>', True),
+]
+
+
+@st.composite
+def xml_imports(draw):
+    """A document of ``xml_elements`` under a root with random attributes,
+    after a random prolog; the document and whether its DOCTYPE declares
+    anything."""
+    root = draw(st.sampled_from(["r", "core:CityModel"]))
+    attrs = "".join(f' {k}="{v}"' for k, v in draw(XML_ROOT_ATTRIBUTES))
+    body = "".join(draw(XML_BETWEEN) + draw(xml_elements()) for _ in range(draw(st.integers(0, 4))))
+    doctype, internal_subset = draw(st.sampled_from(XML_DOCTYPES))
+    misc = st.sampled_from(["", "\n", "<!-- c -->", "<?pi x?>"])
+    prolog = (draw(st.sampled_from(["", "\ufeff"]))
+              + draw(st.sampled_from(["", "<?xml version='1.0'?>", '<?xml version="1.0" encoding="UTF-8"?>']))
+              + draw(misc) + doctype + draw(misc))
+    tail = draw(XML_BETWEEN)
+    doc = f"{prolog}<{root}{attrs}>{body}{tail}</{root}>{draw(misc)}"
+    return doc.encode("utf-8"), internal_subset
+
+
+XML_SPLIT_CASES = [
+    b"<r><a/><b x='1 2'/><pos srsDimension='1'/></r>",  # self-closing chunks
+    b"<r><a><![CDATA[1 2]]></a><![CDATA[between]]><pos><![CDATA[3 4]]></pos></r>",
+    b"<r><!--c--><a>x<!--in-->y<?pi in?>z</a><?pi between?><pos>1<!--c-->2</pos></r>",
+    b"<r>&nbsp;<a n='p&nbsp;q' m='caf&eacute;'>Hohe&nbsp;Stra&szlig;e &eacute;t&eacute;</a>&eacute;</r>",
+    b"<r srsDimension='3'><a><pos>1 2 3 4</pos></a><b srsDimension='3'><pos>1 2 3</pos></b></r>",
+    b"<r gml:srsDimension='1' name='x'><xAttribute name='k'><value>5</value></xAttribute></r>",
+    b"<r>text before<a>1</a>text after</r>",
+    b"<r><pos>1 2</pos><pos>3 4",  # truncated: the chunks before the error
+    b'<!DOCTYPE r SYSTEM "r.dtd"><r><a>&e; &nbsp;</a><b n="x&eacute;y"/></r>',
+    b"<!DOCTYPE r><r><pos>0 0</pos><pos>-0 -0</pos></r>",
+]
+
+
+class TestSplitterProjection:
+    @settings(max_examples=300, deadline=None)
+    @given(xml_imports())
+    def test_matches_stored_bytes(self, case):
+        doc, internal_subset = case
+        assert_projected_as_stored(doc, internal_subset)
+
+    @pytest.mark.parametrize("doc", XML_SPLIT_CASES)
+    def test_cases(self, doc):
+        assert split_projections(doc, 65536)
+        assert_projected_as_stored(doc)
+
+    def test_root_srs_dimension_does_not_reach_a_chunk(self):
+        ((_, _, projected),) = split_projections(b"<r srsDimension='3'><pos>1 2 3 4</pos></r>", 7)
+        assert repr(projected.bbox) == "BoundingBox(min_x=1.0, min_y=2.0, max_x=3.0, max_y=4.0)"
+
+    def test_doctype_declarations_leave_chunks_unprojected(self):
+        # expanded by the document's parse, not by a parse of the chunk's bytes
+        doc = (b'<!DOCTYPE r [<!ENTITY e "a b"><!ATTLIST pos srsDimension CDATA "3">]>'
+               b"<r><pos>1 2 3 4</pos><a n='&e;'>&e;</a></r>")
+        assert_projected_as_stored(doc, internal_subset=True)
+        stored = [s for _, s, _ in split_projections(doc, 65536)]
+        assert repr(stored[0].bbox) == "BoundingBox(min_x=1.0, min_y=2.0, max_x=3.0, max_y=4.0)"
+        assert stored[1].tokens == ("e",)
+
+    def test_bench_shaped_document(self):
+        assert_projected_as_stored(bench_gen.citygml_document(random.Random(5), 0, 3))
+
+    def test_splitting_leaves_no_cyclic_garbage(self):
+        # as for extraction alone: the splitter's handlers and each chunk's
+        # projection handlers are freed without the collector, also after
+        # an error in the middle of a chunk
+        docs = [c for c in XML_SPLIT_CASES] + [b"<r><a>1</a><b><pos>1 2</b></r>", b"<r><a>x</a"]
+        gc.collect()
+        gc.disable()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            for doc in docs:
+                for block_size in (1, 65536):
+                    split_projections(doc, block_size)
+            found = gc.collect()
+            garbage = Counter(type(o).__name__ for o in gc.garbage)
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            gc.enable()
+        assert found == 0, garbage

@@ -1,4 +1,5 @@
 import math
+import re
 import threading
 
 import pytest
@@ -170,6 +171,28 @@ class TestBoundingBox:
             BoundingBox(0, 0, float("inf"), 1)
         with pytest.raises(ValueError):
             BoundingBox(float("nan"), 0, 1, 1)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, "1", None])
+    @pytest.mark.parametrize("at", range(4))
+    def test_each_component_checked(self, bad, at):
+        values = [0.0, 0.0, 1.0, 1.0]
+        values[at] = bad
+        with pytest.raises(ValueError, match=re.escape(f"component {bad!r} is not a finite")):
+            BoundingBox(*values)
+
+    def test_min_above_max_rejected_for_floats(self):
+        with pytest.raises(ValueError, match="min > max"):
+            BoundingBox(0.0, 2.0, 1.0, 1.0)
+        with pytest.raises(ValueError, match="min > max"):
+            BoundingBox(2.0, 0.0, 1.0, 1.0)
+
+    def test_finite_components_with_an_infinite_sum_accepted(self):
+        big = 1.5e308
+        assert BoundingBox(big, big, big, big).max_x == big
+
+    def test_ints_and_bools_accepted(self):
+        assert BoundingBox(0, 0, 1, 2) == BoundingBox(0.0, 0.0, 1.0, 2.0)
+        assert BoundingBox(False, 0.5, True, 1).max_x is True
 
     @given(st.lists(st.tuples(st.integers(-50, 50), st.integers(-50, 50)), min_size=1))
     def test_from_points_ordered(self, points):

@@ -16,6 +16,7 @@ import time
 import xml.etree.ElementTree as ET
 from collections import Counter
 from pathlib import Path
+from xml.parsers import expat
 
 import pytest
 import requests
@@ -303,6 +304,25 @@ class TestSearch:
         sizes, body, complete = decode_chunked(response)
         assert complete and body == expected
         assert len(sizes) <= math.ceil(len(body) / 65536) + 1, sizes
+
+    @pytest.mark.parametrize("connection", [b"", b"Connection: keep-alive\r\n"])
+    @pytest.mark.parametrize("search", [b"", b"nomatch"])
+    def test_http_1_0_export_is_unframed_and_closes(self, server, connection, search):
+        import_and_wait(server.url, "/store/old", make_geojson(1300))
+        target = b"/store/old?format=geojson&search=" + search
+        response, closed = raw_until_eof(
+            server, b"GET %s HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n" % target)
+        assert closed
+        _, chunked, complete = decode_chunked(response)
+        assert complete
+        response, closed = raw_until_eof(server, b"GET %s HTTP/1.0\r\n%s\r\n" % (target, connection))
+        assert closed  # the end of the connection delimits the body
+        head, _, body = response.partition(b"\r\n\r\n")
+        fields = head.lower().split(b"\r\n")
+        assert fields[0].startswith(b"http/1.1 200 ")
+        assert b"connection: close" in fields
+        assert not any(f.startswith(b"transfer-encoding") for f in fields)
+        assert body == chunked
 
     def test_failure_after_first_frame_truncates_transfer(self, server):
         import_and_wait(server.url, "/store", make_geojson(600))
@@ -844,6 +864,47 @@ class TestAsyncContract:
                 break
         final = json.loads(requests.get(srv.url + "/store/ev?format=geojson").content)
         assert len(final["features"]) == 12
+
+
+class TestParseOnce:
+    """An XML import is parsed once, by the splitter, and indexed without a
+    store read; a GeoJSON chunk is read back once to be indexed."""
+
+    @staticmethod
+    def _count(app, monkeypatch, body: bytes) -> Counter:
+        calls = Counter()
+        create, get = expat.ParserCreate, app.store.get
+
+        def counting_create(*args, **kwargs):
+            calls["parsers"] += 1
+            return create(*args, **kwargs)
+
+        def counting_get(chunk_id):
+            calls["reads"] += 1
+            return get(chunk_id)
+
+        monkeypatch.setattr(expat, "ParserCreate", counting_create)
+        monkeypatch.setattr(app.store, "get", counting_get)
+        task = finish(app.import_stream(parse_layer_path("/once"), [body]))
+        monkeypatch.undo()
+        calls["chunks"] = task.chunks_indexed
+        return calls
+
+    def test_xml_import_parses_once_and_reads_nothing(self, monkeypatch):
+        app = GeoRocketApp(ServerConfig())
+        try:
+            calls = self._count(app, monkeypatch, make_citygml(5))
+        finally:
+            app.close()
+        assert (calls["parsers"], calls["reads"], calls["chunks"]) == (1, 0, 6)
+
+    def test_geojson_import_reads_each_chunk_once(self, monkeypatch):
+        app = GeoRocketApp(ServerConfig())
+        try:
+            calls = self._count(app, monkeypatch, make_geojson(5))
+        finally:
+            app.close()
+        assert (calls["parsers"], calls["reads"], calls["chunks"]) == (0, 5, 5)
 
 
 class TestIndexWorker:
