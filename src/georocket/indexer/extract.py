@@ -10,12 +10,12 @@ run per node, so both passes keep that small and hand whole runs of data
 to C-level code (``str.split``, ``map``, ``min``, ``set``):
 
 - XML is read by the handlers that ``project_xml_element`` installs on a
-  ``pyexpat`` parser. There is one set of handlers and two drivers: the XML
+  ``pyexpat`` parser. One set of handlers runs in two places: the XML
   splitter installs them at the start of each chunk of an import, so an
   imported chunk is projected in the pass that splits it, and
   ``build_document`` installs them on a parser of its own for a chunk read
-  from the store (reconcile, and documents whose DOCTYPE declares
-  anything). Each tag is classified once per parse
+  from the store (reconcile, and documents whose DOCTYPE has an internal
+  subset). Each tag is classified once per parse
   (geometry, ``value``, ``*Attribute`` or plain) in a dict. Only elements
   that carry ``srsDimension`` or a generic attribute's name push a frame.
   Until one of those, a geometry or a ``value`` opens, lean handlers serve

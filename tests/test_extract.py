@@ -656,7 +656,7 @@ class TestSplitterProjection:
         # as for extraction alone: the splitter's handlers and each chunk's
         # projection handlers are freed without the collector, also after
         # an error in the middle of a chunk
-        docs = [c for c in XML_SPLIT_CASES] + [b"<r><a>1</a><b><pos>1 2</b></r>", b"<r><a>x</a"]
+        docs = XML_SPLIT_CASES + [b"<r><a>1</a><b><pos>1 2</b></r>", b"<r><a>x</a"]
         gc.collect()
         gc.disable()
         gc.set_debug(gc.DEBUG_SAVEALL)
