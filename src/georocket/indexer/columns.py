@@ -18,6 +18,9 @@ mixed kinds never match, and costs O(log n + matches):
   lower bounds from one year before the query's start. Bounds are packed
   into one integer each.
 
+``count`` takes the width of the run a search reads from the same bounds,
+without reading it: the query planner's size estimate (see ``index``).
+
 A column is a multiset: one chunk may carry the same value twice (say, once
 as an attribute and once as a property), and removing one leaves the other.
 """
@@ -83,9 +86,17 @@ class SortedEntries:
 
     def ids_between(self, lower, upper) -> set[str]:
         """Ids of entries whose sort key k has ``lower <= k < upper``."""
+        return _ids(*self._between(lower, upper))
+
+    def count_between(self, lower, upper) -> int:
+        """How many entries ``ids_between`` reads."""
+        _, start, stop = self._between(lower, upper)
+        return stop - start
+
+    def _between(self, lower, upper) -> tuple[list, int, int]:
         items = self.items()
         start = bisect_left(items, lower, key=_first)
-        return _ids(items, start, bisect_left(items, upper, start, key=_first))
+        return items, start, bisect_left(items, upper, start, key=_first)
 
 
 # The most chunks whose entries are removed by binary search (see
@@ -98,22 +109,41 @@ def _ids(items: list[tuple], start: int, stop: int) -> set[str]:
     return {entry[-1] for entry in items[start:stop]}
 
 
-def _ordered(entries: SortedEntries, op: CompareOp, value) -> set[str]:
-    """Ids of entries whose sort key stands in ``op`` to ``value``."""
+def _ordered(entries: SortedEntries, op: CompareOp, value) -> tuple[list, int, int]:
+    """The entries in order and the bounds of the run of them whose sort key
+    stands in ``op`` to ``value``."""
     items = entries.items()
     if op is CompareOp.LT:
-        return _ids(items, 0, bisect_left(items, value, key=_first))
+        return items, 0, bisect_left(items, value, key=_first)
     if op is CompareOp.LTE:
-        return _ids(items, 0, bisect_right(items, value, key=_first))
+        return items, 0, bisect_right(items, value, key=_first)
     if op is CompareOp.GT:
-        return _ids(items, bisect_right(items, value, key=_first), len(items))
+        return items, bisect_right(items, value, key=_first), len(items)
     start = bisect_left(items, value, key=_first)
     if op is CompareOp.GTE:
-        return _ids(items, start, len(items))
-    return _ids(items, start, bisect_right(items, value, start, key=_first))  # EQ
+        return items, start, len(items)
+    return items, start, bisect_right(items, value, start, key=_first)  # EQ
 
 
-class _Numbers:
+class _Column:
+    """A column answers ``search`` from one run of sorted entries that
+    ``_span(op, value)`` bounds, so ``count`` reads the size of a result
+    from the same bounds without building it."""
+
+    __slots__ = ()
+
+    def search(self, op: CompareOp, value) -> set[str]:
+        return _ids(*self._span(op, value))
+
+    def count(self, op: CompareOp, value) -> int:
+        """How many entries ``search`` reads, in O(log n): a bound on the
+        size of its result, which it equals unless a chunk holds several of
+        those values or the search is a date EQ."""
+        _, start, stop = self._span(op, value)
+        return stop - start
+
+
+class _Numbers(_Column):
     __slots__ = ("_sorted", "_nan")
 
     def __init__(self):
@@ -145,19 +175,24 @@ class _Numbers:
         for cid in ids:
             self._nan.pop(cid, None)
 
-    def search(self, op: CompareOp, value: float) -> set[str]:
+    def _span(self, op: CompareOp, value: float) -> tuple[list, int, int]:
         if value == value:
-            hits = _ordered(self._sorted, op, value)
-        elif op is CompareOp.LTE or op is CompareOp.GTE:  # NaN is neither below nor above
-            hits = {cid for _, cid in self._sorted.items()}
-        else:
-            hits = set()
+            return _ordered(self._sorted, op, value)
+        items = self._sorted.items()  # NaN is neither below nor above any number
+        return items, 0, len(items) if op is CompareOp.LTE or op is CompareOp.GTE else 0
+
+    def search(self, op: CompareOp, value: float) -> set[str]:
+        hits = _ids(*self._span(op, value))
         if op is CompareOp.LTE or op is CompareOp.GTE:
             hits.update(self._nan)
         return hits
 
+    def count(self, op: CompareOp, value: float) -> int:
+        nan = len(self._nan) if op is CompareOp.LTE or op is CompareOp.GTE else 0
+        return super().count(op, value) + nan
 
-class _Texts:
+
+class _Texts(_Column):
     __slots__ = ("_raw", "_folded")
 
     def __init__(self):
@@ -181,13 +216,13 @@ class _Texts:
         self._raw.drop_ids(ids)
         self._folded.drop_ids(ids)
 
-    def search(self, op: CompareOp, value: str) -> set[str]:
+    def _span(self, op: CompareOp, value: str) -> tuple[list, int, int]:
         if op is CompareOp.EQ:
             return _ordered(self._folded, op, value.lower())
         return _ordered(self._raw, op, value)
 
 
-class _Dates:
+class _Dates(_Column):
     __slots__ = ("_by_lower", "_by_upper")
 
     def __init__(self):
@@ -214,7 +249,7 @@ class _Dates:
         self._by_lower.drop_ids(ids)
         self._by_upper.drop_ids(ids)
 
-    def search(self, op: CompareOp, value: DateValue) -> set[str]:
+    def _span(self, op: CompareOp, value: DateValue) -> tuple[list, int, int]:
         lower_key = value.lower_key()
         lower, upper = _packed(lower_key), _packed(value.upper_key())
         if op is CompareOp.LT:  # ends before the query starts
@@ -225,11 +260,18 @@ class _Dates:
             return _ordered(self._by_lower, CompareOp.GTE, upper)
         if op is CompareOp.GTE:  # ends after the query starts
             return _ordered(self._by_upper, CompareOp.GT, lower)
-        # EQ: starts before the query ends and ends after it starts
+        # EQ: the entries that start before the query ends, from one year
+        # before it starts, since no interval is longer
         items = self._by_lower.items()
         year_before = _packed((lower_key[0] - 1,) + lower_key[1:])
         start = bisect_left(items, year_before, key=_first)
-        stop = bisect_left(items, upper, start, key=_first)
+        return items, start, bisect_left(items, upper, start, key=_first)
+
+    def search(self, op: CompareOp, value: DateValue) -> set[str]:
+        items, start, stop = self._span(op, value)
+        if op is not CompareOp.EQ:
+            return _ids(items, start, stop)
+        lower = _packed(value.lower_key())  # and of those, the ones ending after it starts
         return {cid for _, end, cid in items[start:stop] if end > lower}
 
 
@@ -288,3 +330,8 @@ class TypedColumns:
         """Ids of chunks with a value under ``key`` that stands in ``op`` to ``value``."""
         column = self._columns.get((key, value.kind))
         return column.search(op, value.value) if column is not None else set()
+
+    def count(self, op: CompareOp, key: str, value: TypedValue) -> int:
+        """How many entries ``search`` reads, from the same bounds, in O(log n)."""
+        column = self._columns.get((key, value.kind))
+        return column.count(op, value.value) if column is not None else 0

@@ -32,6 +32,16 @@ def _one_malloc_arena() -> None:
     mallopt(_M_ARENA_MAX, 1)
 
 
+class _Formatter(logging.Formatter):
+    """The default format, with ``id=`` after the message of a record that
+    carries the ``request_id`` of the request it was logged for."""
+
+    def formatMessage(self, record: logging.LogRecord) -> str:
+        line = super().formatMessage(record)
+        request_id = getattr(record, "request_id", None)
+        return line if request_id is None else f"{line} id={request_id}"
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="georocket-server")
     parser.add_argument("-c", "--config", help="path to the JSON config file")
@@ -41,10 +51,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     _one_malloc_arena()  # before the first thread starts
 
-    logging.basicConfig(
-        level=logging.DEBUG if args.verbose else logging.INFO,
-        format="%(asctime)s %(levelname)s %(name)s: %(message)s",
-    )
+    handler = logging.StreamHandler()
+    handler.setFormatter(_Formatter("%(asctime)s %(levelname)s %(name)s: %(message)s"))
+    logging.basicConfig(level=logging.DEBUG if args.verbose else logging.INFO,
+                        handlers=[handler])
     try:
         config = load_config(args.config)
         if args.host:

@@ -153,9 +153,7 @@ class GeoRocketApp:
         An empty query matches everything in the layer subtree. Raises
         NotFoundError when nothing matches and the layer never existed.
         """
-        ids = self.index.query(parse_query(query_text), layer)
-        if not ids and not self.store.layer_exists(layer):
-            raise NotFoundError(f"layer {layer} does not exist")
+        ids = self._query(layer, query_text)
         parents = []
         seen = set()
         live_ids = []
@@ -169,6 +167,21 @@ class GeoRocketApp:
                 seen.add(p)
                 parents.append(p)
         return merge(self._entries(live_ids), parents, default_format)
+
+    def explain(self, layer: LayerPath, query_text: str) -> dict:
+        """How the index evaluates a search, which reads no document: the
+        entry of each node evaluated, in evaluation order (see
+        ``ChunkIndex._eval``), and the number of hits. Raises as ``search``
+        does."""
+        trace: list[dict] = []
+        ids = self._query(layer, query_text, trace)
+        return {"query": query_text, "layer": str(layer), "hits": len(ids), "nodes": trace}
+
+    def _query(self, layer: LayerPath, query_text: str, trace=None) -> list[str]:
+        ids = self.index.query(parse_query(query_text), layer, trace)
+        if not ids and not self.store.layer_exists(layer):
+            raise NotFoundError(f"layer {layer} does not exist")
+        return ids
 
     def _entries(self, ids):
         for chunk_id in ids:

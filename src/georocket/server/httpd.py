@@ -5,6 +5,7 @@ Endpoints::
     GET    /                                     service metadata
     POST   /store/{layer}?tags=&props=&fallbackCRS=   import (202 + task id)
     GET    /store/{layer}?search=&format=        merged export (streamed)
+    GET    /store/{layer}?search=&explain=true   how the search is evaluated (JSON)
     DELETE /store/{layer}?search=&all=           delete matching chunks
     PUT    /store/{layer}?search=&properties=&tags=    set properties / add tags
     DELETE /store/{layer}?search=&properties=&tags=    remove properties / tags
@@ -43,7 +44,11 @@ after the body, which is what delimits it (RFC 9112 section 6.1). Errors are
 JSON ``{"error": {"code", "message", "offset"?}}``. When all request slots
 are busy the server answers 503 instead of queueing unboundedly. At DEBUG,
 each request is logged in one ``key=value`` line; with DEBUG off, nothing
-is formatted.
+is formatted. That line carries ``request``, the request's number on its
+connection. Its record, and every error record logged while serving the
+request, carries the attribute ``request_id``: a number one counter gives
+each request the process reads. ``python -m georocket.server`` writes it
+as ``id=`` at the end of each such line.
 
 Threads: a pool of ``max_concurrent_requests`` threads, named
 ``georocket-http-N``, starts with the server and lives as long as it. The
@@ -62,6 +67,7 @@ from __future__ import annotations
 
 import contextlib
 import http
+import itertools
 import json
 import logging
 import queue
@@ -103,6 +109,9 @@ _FIELD_LINE = re.compile(rb"([-!#$%&'*+.^_`|~0-9A-Za-z]+):([^\r\n\x00]*)\r?\n")
 # longest request line or header line, and most header lines, a request may have
 _MAX_LINE = 1 << 16
 _MAX_FIELDS = 100
+
+# ids of the requests this process reads, one counter for every connection
+_REQUEST_IDS = itertools.count(1)
 
 # responses are buffered up to this size, and export frames are at least as large
 _WRITE_BUFFER = 1 << 16
@@ -184,6 +193,7 @@ class _Handler(socketserver.StreamRequestHandler):
     headers: _Headers
     http11 = True  # whether the request's version is HTTP/1.1 or later
     close_connection = True  # whether the connection ends after this response
+    request_id = 0  # this process's number of the request being served
     _body_unread = False  # a declared request body not yet read to its end
 
     @property
@@ -207,6 +217,7 @@ class _Handler(socketserver.StreamRequestHandler):
             return False
         started = time.perf_counter() if logger.isEnabledFor(logging.DEBUG) else None
         self._served += 1
+        self.request_id = next(_REQUEST_IDS)
         self._status_code = self._sent = 0
         self.command = self.path = None
         self._body_unread = False
@@ -220,7 +231,8 @@ class _Handler(socketserver.StreamRequestHandler):
         if started is not None:
             logger.debug("method=%s path=%s status=%d bytes=%d ms=%.3f request=%d",
                          self.command, self.path, self._status_code, self._sent,
-                         (time.perf_counter() - started) * 1e3, self._served)
+                         (time.perf_counter() - started) * 1e3, self._served,
+                         extra={"request_id": self.request_id})
         return not self.close_connection
 
     def _read_head(self, line: bytes):
@@ -326,7 +338,8 @@ class _Handler(socketserver.StreamRequestHandler):
         self._send_json(status, payload)
 
     def _send_internal_error(self, exc: Exception) -> None:
-        logger.exception("unhandled error serving %s", self.path)
+        logger.exception("unhandled error serving %s", self.path,
+                         extra={"request_id": self.request_id})
         self.close_connection = True
         try:
             self._send_json(
@@ -462,6 +475,9 @@ class _Handler(socketserver.StreamRequestHandler):
             raise NotFoundError(f"no such endpoint {self.path}")
 
     def _search(self, layer, params):
+        if params.get("explain", "").lower() == "true":
+            self._send_json(200, self.app.explain(layer, params.get("search", "")))
+            return
         default_format = (
             Format.GEOJSON if params.get("format", "").lower() in ("geojson", "json")
             else Format.XML
@@ -488,7 +504,7 @@ class _Handler(socketserver.StreamRequestHandler):
         except Exception:
             # abort without the terminal chunk: the client sees a truncated
             # transfer instead of a silently incomplete document
-            logger.exception("search stream aborted")
+            logger.exception("search stream aborted", extra={"request_id": self.request_id})
             self.close_connection = True
 
     def _import(self, layer, params):

@@ -9,6 +9,7 @@ import tracemalloc
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -17,6 +18,7 @@ from georocket.errors import DuplicateIdError, StorageError, UnknownIdError
 from georocket.indexer import ChunkIndex, IndexDocument, IndexedAttribute, build_document
 from georocket.indexer.columns import _FEW, SortedEntries
 from georocket.indexer.segments import SEGMENT_MAGIC, SegmentLog, encode
+from georocket.indexer.spatial import SpatialIndex, _intersects
 from georocket.model import (
     BoundingBox,
     ChunkMetadata,
@@ -30,7 +32,16 @@ from georocket.model import (
     parse_layer_path,
 )
 from georocket.query import MatchAll, evaluate_oracle, parse_query
-from georocket.query.ast import Comparison, CompareOp, DateTerm, Logical, LogicalOp
+from georocket.query.ast import (
+    BBoxTerm,
+    Comparison,
+    CompareOp,
+    DateTerm,
+    Logical,
+    LogicalOp,
+    TextTerm,
+    render,
+)
 from georocket.store import StoredEntry
 
 from gendata import KEYS, TAGS, WORDS, geojson_feature, random_document, random_query
@@ -1037,3 +1048,238 @@ class TestMemory:
         small, large = (self._bytes_per_document(tmp_path / f"idx{n}", n) for n in (1000, 4000))
         assert small <= 4200 and large <= 4200, (small, large)
         assert large / small <= 1.1, (small, large)
+
+
+# --- the conjunction planner ------------------------------------------------
+
+# share of documents holding each token: estimates of text terms span the
+# planner's factor from either side at every corpus size
+_TOKEN_SHARES = {"common": 0.9, "often": 0.5, "mid": 0.2, "rare": 0.03}
+_PLANNER_LAYERS = ("/", "/a", "/a/b", "/c")
+_PLANNER_TIMESTAMPS = (1514764800000, 1514851200000, 1546300800000)  # 2018-01-01, -02, 2019-01-01
+
+
+def _skewed_doc(rng, i):
+    """A document whose tokens, tags, values, dates and boxes are skewed:
+    most documents share a few of each, and a few documents hold the rest."""
+    tokens = [token for token, share in _TOKEN_SHARES.items() if rng.random() < share]
+    attributes = [IndexedAttribute("h", TypedValue.of_number(round(rng.paretovariate(1.0), 1)))]
+    if rng.random() < 0.6:
+        attributes.append(IndexedAttribute(
+            "kind", TypedValue.of_text(rng.choice(["wall", "wall", "Wall", "roof", "door"]))))
+    if rng.random() < 0.3:
+        attributes.append(IndexedAttribute(
+            "built", TypedValue.from_text(rng.choice(["2001", "2001-05", "2001-05-03", "1999"]))))
+    if rng.random() < 0.9:
+        x, y = (rng.uniform(0, 1), rng.uniform(0, 1)) if rng.random() < 0.8 else (
+            rng.uniform(10, 50), rng.uniform(10, 50))
+        bbox = BoundingBox(x, y, x + 0.1, y + 0.1)
+    else:
+        bbox = None
+    properties = {"p": rng.choice(["one two", "rare thing"])} if rng.random() < 0.2 else {}
+    return make_doc(i, layer=rng.choice(_PLANNER_LAYERS), tokens=tokens + [f"u{i}"],
+                    tags=("common",) * (rng.random() < 0.5) + ("t1",) * (rng.random() < 0.05),
+                    properties=properties, attributes=attributes, bbox=bbox,
+                    ts=rng.choices(_PLANNER_TIMESTAMPS, weights=(90, 8, 2))[0])
+
+
+_PLANNER_LEAVES = st.one_of(
+    st.sampled_from([*_TOKEN_SHARES, "u3", "t1", "thing", "nosuch"]).map(TextTerm),
+    st.builds(Comparison, st.sampled_from(list(CompareOp)), st.just("h"),
+              st.sampled_from([1.0, 1.5, 3.0, 10.0, 100.0]).map(TypedValue.of_number)),
+    st.builds(Comparison, st.sampled_from(list(CompareOp)), st.just("kind"),
+              st.sampled_from(["wall", "door", "roof", "x"]).map(TypedValue.of_text)),
+    st.builds(Comparison, st.sampled_from(list(CompareOp)), st.just("built"),
+              st.sampled_from(["2001", "2001-05", "2000"]).map(TypedValue.from_text)),
+    st.sampled_from(["2018", "2018-01-01", "2018-01-02", "2019", "2017"]).map(
+        lambda text: DateTerm(DateValue.parse(text))),
+    st.sampled_from([(0, 0, 1.1, 1.1), (0, 0, 0.2, 0.2), (20, 20, 60, 60), (5, 5, 6, 6)]).map(
+        lambda box: BBoxTerm(BoundingBox(*box))),
+    st.just(MatchAll()),
+)
+
+
+def _planner_trees(depth: int = 2):
+    """Query trees of depth at most ``depth + 1``, conjunctions twice as
+    likely as disjunctions and negations."""
+    if depth == 0:
+        return _PLANNER_LEAVES
+    return st.one_of(_PLANNER_LEAVES, st.builds(
+        Logical, st.sampled_from([LogicalOp.AND, LogicalOp.AND, LogicalOp.OR, LogicalOp.NOT]),
+        st.lists(_planner_trees(depth - 1), min_size=1, max_size=3).map(tuple)))
+
+
+def _bench_shaped_index(n=2000):
+    """An index of ``n`` GeoJSON features shaped like the benchmark's: a
+    name token each, one of 500 streets, and a height up to 80."""
+    rng = random.Random(5)
+    parents = GeoJsonParents(CollectionKind.FEATURE_COLLECTION)
+    metadata = ChunkMetadata(layer=ROOT_LAYER, import_timestamp=1600000000000,
+                             format=Format.GEOJSON)
+    index = ChunkIndex()
+    index.add_documents(build_document(StoredEntry(
+        id=f"C{i:05d}", parents=parents, metadata=metadata, sequence=i, content=(
+            '{"type":"Feature","geometry":{"type":"Point","coordinates":[%f,%f]},'
+            '"properties":{"name":"f%d","street":"Weg%03d","height":%.1f}}'
+            % (rng.random(), rng.random(), i, i % 500, rng.uniform(3, 80))).encode()))
+        for i in range(n))
+    return index
+
+
+class TestConjunctionPlanner:
+    """An AND leads with its cheapest child and checks or intersects the
+    others; every plan returns the ids the oracle accepts."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), size=st.integers(50, 400),
+           queries=st.lists(_planner_trees(), min_size=1, max_size=3))
+    def test_planned_queries_equal_the_oracle(self, seed, size, queries):
+        rng = random.Random(seed)
+        docs = {d.chunk_id: d for d in (_skewed_doc(rng, i) for i in range(size))}
+        layers = (ROOT_LAYER, parse_layer_path("/a"))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "idx"
+            index = ChunkIndex(path, fsync=False)
+
+            def check(state):
+                for ast in queries:
+                    for layer in layers:
+                        assert index.query(ast, layer) == oracle_ids(docs.values(), ast, layer), \
+                            (state, render(ast), str(layer))
+
+            index.add_documents(docs.values())
+            check("added")
+            changed = rng.sample(sorted(docs), size // 10)
+            delta = MetadataDelta(set_properties={"h": "2.5", "p": "rare thing"},
+                                  add_tags=frozenset({"rare"}))
+            index.update_metadata(changed, delta)
+            for cid in changed:
+                docs[cid] = docs[cid].with_metadata(docs[cid].metadata.with_delta(delta))
+            check("updated")
+            gone = rng.sample(sorted(docs), size // 5)
+            index.delete(gone)
+            for cid in gone:
+                del docs[cid]
+            check("deleted")
+            index.close()
+            index = ChunkIndex(path, fsync=False)
+            check("reopened")
+            index.close()
+
+    @settings(max_examples=100, deadline=None)
+    @given(sizes=st.randoms(use_true_random=False),
+           queries=st.lists(_planner_trees(), min_size=1, max_size=4))
+    def test_any_estimate_gives_the_same_ids(self, sizes, queries):
+        rng = random.Random(11)
+        docs = [_skewed_doc(rng, i) for i in range(300)]
+        index = ChunkIndex()
+        index.add_documents(docs)
+        expected = [index.query(ast) for ast in queries]
+        with mock.patch.object(ChunkIndex, "_estimate", lambda self, node: sizes.randrange(400)):
+            for ast, ids in zip(queries, expected):
+                assert index.query(ast) == ids == oracle_ids(docs, ast), render(ast)
+
+    def test_the_corpus_puts_every_kind_on_both_sides_of_the_factor(self):
+        rng = random.Random(12)
+        index = ChunkIndex()
+        index.add_documents(_skewed_doc(rng, i) for i in range(400))
+        children = ["common", "GT(h 1.5)", "EQ(kind wall)", "2018-01-01", "0,0,1.1,1.1", "AND()",
+                    "NOT(common)", "NOT(rare)"]
+        seen = set()
+        for lead in ("u7", "mid"):  # one candidate, and about 80
+            for child in children:
+                trace = []
+                query = f"AND({lead} {child})" if child != "AND()" else f"AND({lead} OR(mid u1))"
+                index.query(parse_query(query), trace=trace)
+                seen.update((entry["node"].split("(")[0], entry["strategy"]) for entry in trace
+                            if entry["strategy"] not in ("lead", "evaluate"))
+        for kind in ("common", "GT", "EQ", "2018-01-01", "0.0,0.0,1.1,1.1", "OR"):
+            assert {(kind, "check"), (kind, "intersect")} <= seen, (kind, seen)
+        assert {("NOT", "reject"), ("NOT", "subtract")} <= seen, seen
+
+    def test_a_street_and_a_height_bound_checks_the_bound_per_candidate(self):
+        index = _bench_shaped_index()
+        trace = []
+        ids = index.query(parse_query("AND(weg123 GT(height 20))"), trace=trace)
+        assert [(e["node"], e["depth"], e["strategy"]) for e in trace] == [
+            ("AND(weg123 GT(height 20.0))", 0, "evaluate"),
+            ("weg123", 1, "lead"), ("GT(height 20.0)", 1, "check")]
+        assert trace[1]["estimate"] == 4 < trace[2]["estimate"]
+        assert trace[2]["in"] == 4 and trace[2]["out"] == trace[0]["out"] == len(ids)
+
+    def test_a_street_without_one_name_never_builds_the_complement(self):
+        index = _bench_shaped_index()
+        trace = []
+        ids = index.query(parse_query("AND(weg001 NOT(f1))"), trace=trace)
+        assert ids == ["C00501", "C01001", "C01501"]
+        assert [(e["node"], e["strategy"]) for e in trace] == [
+            ("AND(weg001 NOT(f1))", "evaluate"), ("weg001", "lead"), ("NOT(f1)", "subtract"),
+            ("f1", "evaluate")]
+        assert all(e["out"] <= 4 for e in trace)
+        assert (trace[2]["estimate"], trace[2]["in"], trace[2]["out"]) == (1, 4, 3)
+
+    def test_an_empty_candidate_set_ends_the_conjunction(self):
+        index = _bench_shaped_index(600)
+        trace = []
+        assert index.query(parse_query("AND(nosuch weg001 GT(height 1))"), trace=trace) == []
+        assert [e["node"] for e in trace] == ["AND(nosuch weg001 GT(height 1.0))", "nosuch"]
+
+
+class TestSpatialRepacks:
+    """Repacks of the STR tree happen on queries, not on inserts."""
+
+    @staticmethod
+    def _counted(spatial):
+        calls = []
+        rebuild = spatial.rebuild
+        spatial.rebuild = lambda: (calls.append(1), rebuild())[1]
+        return calls
+
+    def test_adds_never_repack_and_the_next_query_repacks_once(self):
+        rng = random.Random(3)
+        spatial = SpatialIndex()
+        calls = self._counted(spatial)
+        rects = {}
+        for i in range(5000):
+            x, y = rng.uniform(0, 100), rng.uniform(0, 100)
+            rects[i] = (x, y, x + rng.uniform(0, 2), y + rng.uniform(0, 2))
+            spatial.add(i, rects[i])
+        assert calls == []
+        box = (20, 20, 30, 30)
+        exact = {p for p, r in rects.items() if _intersects(r, box)}
+        assert spatial.candidates(box) >= exact and exact
+        assert calls == [1]
+        spatial.candidates((0, 0, 100, 100))
+        assert calls == [1]
+
+    def test_a_query_scans_at_most_the_threshold_of_pending_entries(self):
+        spatial = SpatialIndex(rebuild_threshold=8)
+        calls = self._counted(spatial)
+        for i in range(8):
+            spatial.add(i, (i, i, i + 1, i + 1))
+        assert spatial.candidates((0, 0, 20, 20)) == set(range(8)) and calls == []
+        spatial.add(8, (8, 8, 9, 9))
+        assert spatial.candidates((0, 0, 20, 20)) == set(range(9)) and calls == [1]
+        for i in range(9):
+            spatial.remove(i)
+        assert spatial.candidates((0, 0, 20, 20)) == set() and calls == [1, 1]
+
+    def test_an_entry_moved_after_a_repack_is_gone_once_removed(self):
+        spatial = SpatialIndex()
+        spatial.add("a", (0, 0, 1, 1))
+        spatial.candidates((0, 0, 1, 1))  # the first repack: tree built
+        spatial.add("a", (5, 5, 6, 6))
+        assert "a" in spatial.candidates((5, 5, 6, 6))
+        spatial.remove("a")
+        assert spatial.candidates((0, 0, 10, 10)) == set()
+
+    def test_an_import_deleted_before_any_bbox_query_leaves_no_tombstone(self):
+        index = ChunkIndex()
+        boxed = lambda i: make_doc(i, bbox=BoundingBox(i, i, i + 1, i + 1))  # noqa: E731
+        index.add_documents(boxed(i) for i in range(1100))
+        index.query(parse_query("0,0,1,1"))  # more pending than the threshold: a repack
+        assert index._spatial._pending == {}
+        index.add_documents(boxed(i) for i in range(1100, 2000))
+        index.delete([f"C{i:04d}" for i in range(1100, 2000)])
+        assert index._spatial._removed == set() and index._spatial._pending == {}
+        assert index.query(parse_query("0,0,5000,5000")) == [f"C{i:04d}" for i in range(1100)]

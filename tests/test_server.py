@@ -1393,3 +1393,111 @@ def test_server_start_imports_no_http_client_email_or_ssl():
                             env=dict(os.environ, PYTHONPATH=src), timeout=60)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
+
+
+class TestExplain:
+    _FIELDS = {"node", "depth", "estimate", "strategy", "in", "out", "us"}
+
+    def test_explain_answers_with_the_plan_and_streams_no_document(self, server):
+        import_and_wait(server.url, "/store/x", make_geojson(40))
+        query = "AND(hauptstrasse LT(height 6) NOT(EQ(name \"building 1\")))"
+        resp = requests.get(server.url + "/store/x", params={"search": query, "explain": "true"})
+        assert resp.status_code == 200
+        assert resp.headers["Content-Type"] == "application/json"
+        body = resp.json()
+        assert set(body) == {"query", "layer", "hits", "nodes"}
+        assert (body["query"], body["layer"]) == (query, "/x")
+        exported = requests.get(server.url + "/store/x",
+                                params={"search": query, "format": "geojson"}).json()
+        assert body["hits"] == len(exported["features"]) == 1  # building 0: heights 5 and 5.5
+        nodes = body["nodes"]
+        assert all(set(node) == self._FIELDS for node in nodes)
+        assert (nodes[0]["node"], nodes[0]["depth"], nodes[0]["strategy"], nodes[0]["in"]) == (
+            'AND(hauptstrasse LT(height 6.0) NOT(EQ(name "building 1")))', 0, "evaluate", None)
+        # 2 candidates are fewer than a sixteenth of the 40 documents on the
+        # street, but not fewer than the one the name matches
+        assert [(n["node"], n["depth"], n["strategy"], n["in"], n["out"]) for n in nodes[1:]] == [
+            ("LT(height 6.0)", 1, "lead", None, 2), ("hauptstrasse", 1, "check", 2, 2),
+            ('NOT(EQ(name "building 1"))', 1, "subtract", 2, 1),
+            ('EQ(name "building 1")', 2, "evaluate", None, 1)]
+        assert nodes[1]["estimate"] == nodes[1]["out"] == 2
+        assert all(isinstance(n["us"], float) and n["us"] >= 0 for n in nodes)
+        assert nodes[0]["out"] == body["hits"]
+
+    def test_explain_of_an_empty_search_evaluates_match_all(self, server):
+        import_and_wait(server.url, "/store/x", make_geojson(3))
+        body = requests.get(server.url + "/store/x?search=&explain=true").json()
+        assert body["hits"] == 3
+        assert [(n["node"], n["strategy"], n["out"]) for n in body["nodes"]] == [
+            ("", "evaluate", 3)]
+
+    def test_explain_errors_are_those_of_a_search(self, server):
+        resp = requests.get(server.url + "/store?search=AND(&explain=true")
+        assert resp.status_code == 400 and resp.json()["error"]["code"] == "PARSE_ERROR"
+        resp = requests.get(server.url + "/store/never/existed?search=x&explain=true")
+        assert resp.status_code == 404 and resp.json()["error"]["code"] == "NOT_FOUND"
+
+    def test_explain_without_true_is_a_search(self, server):
+        import_and_wait(server.url, "/store/x", make_geojson(2))
+        resp = requests.get(server.url + "/store/x?search=&explain=false&format=geojson")
+        assert len(resp.json()["features"]) == 2
+
+
+class TestRequestIds:
+    @staticmethod
+    def _records(caplog, count):
+        deadline = time.monotonic() + 5
+        while len(records := [r for r in caplog.records if r.name == "georocket.server.httpd"
+                              and r.levelno == logging.DEBUG]) < count \
+                and time.monotonic() < deadline:
+            time.sleep(0.01)
+        return records
+
+    def test_requests_on_two_connections_get_distinct_increasing_ids(self, server, caplog):
+        caplog.set_level(logging.DEBUG, logger="georocket.server.httpd")
+        address = server.httpd.server_address[:2]
+        first = http.client.HTTPConnection(*address, timeout=10)
+        second = http.client.HTTPConnection(*address, timeout=10)
+        try:
+            for conn in (first, second, first):
+                conn.request("GET", "/")
+                conn.getresponse().read()
+        finally:
+            first.close()
+            second.close()
+        records = self._records(caplog, 3)
+        ids = [r.request_id for r in records]
+        assert len(ids) == 3 and ids == sorted(set(ids)), ids
+        assert [r.getMessage().rsplit("request=", 1)[1] for r in records] == ["1", "1", "2"]
+
+    def test_a_500_logs_its_error_and_its_access_line_with_one_id(self, server, caplog,
+                                                                  monkeypatch):
+        caplog.set_level(logging.DEBUG, logger="georocket.server.httpd")
+
+        def broken():
+            raise RuntimeError("status is broken")
+
+        monkeypatch.setattr(server.app, "status", broken)
+        assert requests.get(server.url + "/").status_code == 500
+        (access,) = self._records(caplog, 1)
+        (error,) = [r for r in caplog.records if r.levelno == logging.ERROR]
+        assert "status=500" in access.getMessage()
+        assert error.getMessage() == "unhandled error serving /"
+        assert error.request_id == access.request_id > 0
+
+    def test_the_server_log_writes_the_id_after_the_message(self):
+        from georocket.server.__main__ import _Formatter
+
+        formatter = _Formatter("%(levelname)s %(name)s: %(message)s")
+        record = logging.LogRecord("georocket.server.httpd", logging.ERROR, __file__, 1,
+                                   "unhandled error serving %s", ("/",), None)
+        record.request_id = 7
+        assert formatter.format(record) == "ERROR georocket.server.httpd: unhandled error serving / id=7"
+        try:
+            raise RuntimeError("boom")
+        except RuntimeError:
+            record.exc_info = sys.exc_info()
+        assert formatter.format(record).startswith(
+            "ERROR georocket.server.httpd: unhandled error serving / id=7\nTraceback")
+        plain = logging.LogRecord("georocket", logging.INFO, __file__, 1, "started", (), None)
+        assert formatter.format(plain) == "INFO georocket: started"
