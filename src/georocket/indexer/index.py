@@ -103,7 +103,7 @@ _CHECK_FACTOR = 16
 
 
 class ChunkIndex:
-    def __init__(self, path=None, *, fsync: bool = True):
+    def __init__(self, path=None):
         """Open (or create) an index; ``path=None`` keeps it in memory only."""
         self._lock = threading.RLock()
         self._docs: dict[str, IndexDocument] = {}
@@ -118,7 +118,7 @@ class ChunkIndex:
         self._spatial = SpatialIndex()
         self._lines: dict[str, str] = {}  # id -> its encoded add line, filled only with a log
         self.compactions = 0  # compactions run since open; read without the lock
-        self._log = SegmentLog(path, fsync=fsync) if path is not None else None
+        self._log = SegmentLog(path) if path is not None else None
         if self._log is not None:
             self._replay()
             self._maybe_compact()

@@ -17,24 +17,26 @@ many of them are dead.
 A line that does not parse or has no newline is a torn tail (a crash during
 append); replay ignores it and the rest of the log and sets ``torn``, and
 the caller compacts before it appends again, so a later commit is never
-written behind the torn bytes. With ``fsync`` on, every append and every new
-log file is synced, and so is the directory after each rename. Unknown magic
-fails fast so a future format bump cannot be misread, and so does a
-directory with a ``manifest``, the layout of earlier versions.
+written behind the torn bytes. Appends and rewrites go through ``durable``,
+so each is on disk when it returns. Unknown magic fails fast so a future
+format bump cannot be misread, and so does a directory with a ``manifest``,
+the layout of earlier versions.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import logging
-import os
 from pathlib import Path
 
+from .. import durable
 from ..errors import StorageError
 
 logger = logging.getLogger(__name__)
 
 SEGMENT_MAGIC = "georocket-index-segment 1"
+_HEADER = (SEGMENT_MAGIC + "\n").encode()
 
 _encode = json.JSONEncoder(separators=(",", ":")).encode
 
@@ -44,19 +46,10 @@ def encode(op) -> str:
     return _encode(op) + "\n"
 
 
-def _fsync_dir(path: Path) -> None:
-    fd = os.open(path, os.O_RDONLY)
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
-
-
 class SegmentLog:
-    def __init__(self, root, fsync: bool = True):
+    def __init__(self, root):
         self.root = Path(root)
         self.path = self.root / "segments" / "log.seg"
-        self.fsync = fsync
         self.records = 0  # op lines in the log, as far as replay and appends saw
         self.torn = False  # replay stopped at a partial record
         self._file = None  # append handle, opened by the first append
@@ -66,11 +59,10 @@ class SegmentLog:
                 "delete the directory to rebuild the index from the store")
         try:
             self.path.parent.mkdir(parents=True, exist_ok=True)
-            exists = self.path.exists()
+            if not self.path.exists():
+                durable.write_atomic(self.path, _HEADER)
         except OSError as e:
             raise StorageError(f"cannot open index directory {self.root}: {e}") from e
-        if not exists:
-            self._rewrite([])
 
     def replay(self):
         """Yield ``(record, line)`` for every op record in commit order."""
@@ -99,32 +91,16 @@ class SegmentLog:
         try:
             if self._file is None:
                 self._file = open(self.path, "a", encoding="utf-8")
-            self._file.write("".join(lines))
-            self._file.flush()
-            if self.fsync:
-                os.fsync(self._file.fileno())
+            durable.append(self._file, "".join(lines))
         except OSError as e:
             raise StorageError(f"cannot append to the index log: {e}") from e
         self.records += len(lines)
 
     def compact(self, lines: list[str]) -> None:
         """Replace the whole log with one holding the encoded ``lines``."""
-        self._rewrite(lines)
-
-    def _rewrite(self, lines: list[str]) -> None:
-        # also creates a new, empty log, which is not counted as a compaction
         self.close()
-        tmp = self.path.with_name(self.path.name + ".tmp")
         try:
-            with open(tmp, "w", encoding="utf-8") as f:
-                f.write(SEGMENT_MAGIC + "\n")
-                f.writelines(lines)
-                f.flush()
-                if self.fsync:
-                    os.fsync(f.fileno())
-            os.replace(tmp, self.path)
-            if self.fsync:
-                _fsync_dir(self.path.parent)
+            durable.write_atomic(self.path, itertools.chain((_HEADER,), map(str.encode, lines)))
         except OSError as e:
             raise StorageError(f"cannot write the index log: {e}") from e
         self.records = len(lines)

@@ -33,11 +33,12 @@ class ChunkStore:
 
     Content and parents never change after put; metadata mutation is
     confined to tags and properties. Operations on one id are linearizable;
-    concurrent operations on distinct ids may interleave freely.
+    concurrent operations on distinct ids may interleave freely. "Durably"
+    means: on return, the change survives a power loss (the memory store is exempt).
     """
 
     def put(self, entry: StoredEntry) -> None:
-        """Durably store a new entry. Raises DuplicateIdError if the id exists."""
+        """Durably store a new entry, whole or not at all. Raises DuplicateIdError."""
         raise NotImplementedError
 
     def get(self, chunk_id: str) -> StoredEntry:
@@ -49,11 +50,11 @@ class ChunkStore:
         raise NotImplementedError
 
     def delete(self, ids) -> int:
-        """Remove the listed ids; unknown ids are ignored. Returns count removed."""
+        """Durably remove the listed ids; unknown ids are ignored. Returns count removed."""
         raise NotImplementedError
 
     def update_metadata(self, chunk_id: str, delta: MetadataDelta) -> None:
-        """Atomically update tags/properties. Raises NotFoundError."""
+        """Atomically and durably update tags/properties. Raises NotFoundError."""
         raise NotImplementedError
 
     def scan(self):

@@ -7,10 +7,11 @@ Layout::
     <root>/parents/<hash>.json                                  shared parents
 
 Parents are deduplicated: all chunks of one import share a single parents
-file, referenced from the sidecar by content hash. Every write lands in a
-temp file first and is renamed into place, so readers never observe partial
-content and a crash can at worst leave an orphaned temp file. The sidecar
-is a line-delimited record versioned with a `v1` header::
+file, referenced from the sidecar by content hash. Every write goes through
+``durable``; the chunk file, written after its parents file and sidecar, is
+the commit point. Opening the store removes the ``*.tmp`` files and unpaired
+chunks and sidecars that a power loss may leave. The sidecar is a
+line-delimited record versioned with a `v1` header::
 
     v1
     layer "/buildings/cologne"
@@ -31,6 +32,7 @@ import os
 import threading
 from pathlib import Path
 
+from .. import durable
 from ..errors import DuplicateIdError, NotFoundError, StorageError
 from ..model import (
     ChunkMetadata,
@@ -112,13 +114,9 @@ def _decode_meta(raw: bytes) -> tuple[ChunkMetadata, int, str]:
         else:
             raise StorageError(f"unrecognised sidecar field {kind!r}")
     metadata = ChunkMetadata(
-        layer=parse_layer_path(fields["layer"]),
-        tags=frozenset(fields["tags"]),
-        properties=fields["props"],
-        crs=fields.get("crs"),
-        import_timestamp=fields["imported"],
-        format=Format(fields["format"]),
-    )
+        layer=parse_layer_path(fields["layer"]), tags=frozenset(fields["tags"]),
+        properties=fields["props"], crs=fields.get("crs"),
+        import_timestamp=fields["imported"], format=Format(fields["format"]))
     return metadata, fields["sequence"], fields["parents"]
 
 
@@ -130,36 +128,33 @@ class FileSystemStore(ChunkStore):
         self._lock = threading.RLock()
         self._paths: dict[str, Path] = {}  # id -> directory holding the pair
         try:
-            self.layers_dir.mkdir(parents=True, exist_ok=True)
-            self.parents_dir.mkdir(parents=True, exist_ok=True)
+            durable.mkdir(self.layers_dir)
+            durable.mkdir(self.parents_dir)
             self._load()
         except OSError as e:
             raise StorageError(f"cannot open store at {self.root}: {e}") from e
 
     def _load(self) -> None:
-        for path in self.layers_dir.rglob("*.chunk"):
-            chunk_id = path.stem
-            if path.with_suffix(".meta").exists():
-                self._paths[chunk_id] = path.parent
+        stray = list(self.parents_dir.glob("*.tmp"))
+        for directory, _, files in os.walk(self.layers_dir):
+            names = set(files)
+            for name in files:
+                stem, ext = os.path.splitext(name)
+                if ext == ".chunk" and stem + ".meta" in names:
+                    self._paths[stem] = Path(directory)
+                elif ext in (".chunk", ".tmp") or (ext == ".meta" and stem + ".chunk" not in names):
+                    stray.append(Path(directory, name))  # left by a cut put or delete
+        durable.remove(stray)
 
     def _layer_dir(self, layer: LayerPath) -> Path:
         return self.layers_dir.joinpath(*layer.segments)
-
-    @staticmethod
-    def _write_atomic(path: Path, data: bytes) -> None:
-        tmp = path.with_name(path.name + ".tmp")
-        with open(tmp, "wb") as f:
-            f.write(data)
-            f.flush()
-            os.fsync(f.fileno())
-        os.replace(tmp, path)
 
     def _parents_ref(self, parents) -> str:
         encoded = _encode_parents(parents)
         ref = hashlib.sha256(encoded).hexdigest()[:24]
         path = self.parents_dir / f"{ref}.json"
         if not path.exists():
-            self._write_atomic(path, encoded)
+            durable.write_atomic(path, encoded)
         return ref
 
     def put(self, entry: StoredEntry) -> None:
@@ -168,15 +163,12 @@ class FileSystemStore(ChunkStore):
                 raise DuplicateIdError(f"chunk {entry.id} already stored")
             directory = self._layer_dir(entry.metadata.layer)
             try:
-                directory.mkdir(parents=True, exist_ok=True)
+                durable.mkdir(directory)
                 ref = self._parents_ref(entry.parents)
-                self._write_atomic(
-                    directory / f"{entry.id}.meta",
-                    _encode_meta(entry.metadata, entry.sequence, ref),
-                )
-                # the chunk file is the commit point: a crash before this
-                # line leaves only a stray sidecar, cleaned by reconciliation
-                self._write_atomic(directory / f"{entry.id}.chunk", entry.content)
+                meta = _encode_meta(entry.metadata, entry.sequence, ref)
+                durable.write_atomic(directory / f"{entry.id}.meta", meta)
+                # the commit point: the parents file and sidecar are on disk
+                durable.write_atomic(directory / f"{entry.id}.chunk", entry.content)
             except OSError as e:
                 raise StorageError(f"cannot store chunk {entry.id}: {e}") from e
             self._paths[entry.id] = directory
@@ -192,21 +184,14 @@ class FileSystemStore(ChunkStore):
             directory = self._require(chunk_id)
             try:
                 content = (directory / f"{chunk_id}.chunk").read_bytes()
-                metadata, sequence, ref = _decode_meta(
-                    (directory / f"{chunk_id}.meta").read_bytes()
-                )
+                meta = (directory / f"{chunk_id}.meta").read_bytes()
+                metadata, sequence, ref = _decode_meta(meta)
                 parents = self._read_parents(ref)
             except FileNotFoundError:
                 raise NotFoundError(f"chunk {chunk_id} not found") from None
             except OSError as e:
                 raise StorageError(f"cannot read chunk {chunk_id}: {e}") from e
-            return StoredEntry(
-                id=chunk_id,
-                content=content,
-                parents=parents,
-                metadata=metadata,
-                sequence=sequence,
-            )
+            return StoredEntry(chunk_id, content, parents, metadata, sequence)
 
     def get_parents(self, chunk_id: str):
         with self._lock:
@@ -223,21 +208,14 @@ class FileSystemStore(ChunkStore):
         return _decode_parents((self.parents_dir / f"{ref}.json").read_bytes())
 
     def delete(self, ids) -> int:
-        removed = 0
         with self._lock:
-            for chunk_id in list(ids):
-                directory = self._paths.pop(chunk_id, None)
-                if directory is None:
-                    continue
-                for suffix in (".chunk", ".meta"):
-                    try:
-                        os.unlink(directory / f"{chunk_id}{suffix}")
-                    except FileNotFoundError:
-                        pass
-                    except OSError as e:
-                        raise StorageError(f"cannot delete chunk {chunk_id}: {e}") from e
-                removed += 1
-        return removed
+            gone = [(i, self._paths.pop(i)) for i in list(ids) if i in self._paths]
+            try:
+                durable.remove(directory / f"{chunk_id}{suffix}"
+                               for chunk_id, directory in gone for suffix in (".chunk", ".meta"))
+            except OSError as e:
+                raise StorageError(f"cannot delete chunks: {e}") from e
+        return len(gone)
 
     def update_metadata(self, chunk_id: str, delta: MetadataDelta) -> None:
         with self._lock:
@@ -245,9 +223,8 @@ class FileSystemStore(ChunkStore):
             meta_path = directory / f"{chunk_id}.meta"
             try:
                 metadata, sequence, ref = _decode_meta(meta_path.read_bytes())
-                self._write_atomic(
-                    meta_path, _encode_meta(metadata.with_delta(delta), sequence, ref)
-                )
+                meta = _encode_meta(metadata.with_delta(delta), sequence, ref)
+                durable.write_atomic(meta_path, meta)
             except FileNotFoundError:
                 raise NotFoundError(f"chunk {chunk_id} not found") from None
             except OSError as e:
@@ -260,6 +237,3 @@ class FileSystemStore(ChunkStore):
 
     def layer_exists(self, layer: LayerPath) -> bool:
         return layer.is_root or self._layer_dir(layer).is_dir()
-
-    def close(self) -> None:
-        pass

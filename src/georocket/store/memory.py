@@ -59,9 +59,6 @@ class MemoryStore(ChunkStore):
         with self._lock:
             return any(_is_prefix(str(layer), text) for text in self._layers)
 
-    def close(self) -> None:
-        pass
-
 
 def _is_prefix(layer_text: str, stored_text: str) -> bool:
     return stored_text == layer_text or stored_text.startswith(layer_text + "/")

@@ -1,5 +1,7 @@
 import functools
 import gc
+import os
+import stat
 import sys
 import time
 from pathlib import Path
@@ -12,7 +14,47 @@ if str(ROOT / "src") not in sys.path:
 if str(ROOT / "tests") not in sys.path:
     sys.path.insert(0, str(ROOT / "tests"))
 
+from georocket import durable  # noqa: E402
 from georocket.server import EmbeddedServer, GeoRocketApp, ServerConfig  # noqa: E402
+
+
+@pytest.fixture(autouse=True)
+def unsynced(request, monkeypatch):
+    """Make ``durable``'s sync a no-op, so no test waits for the disk.
+
+    What a power loss keeps is checked from the order of the durable calls
+    (``tests/test_crash_states.py``), which the sync does not change. A test
+    that watches the syncs asks for ``real_sync``, directly or through
+    ``synced_dirs``, and keeps the real one."""
+    if "real_sync" not in request.fixturenames:
+        monkeypatch.setattr(durable, "_sync", lambda fd: None)
+
+
+@pytest.fixture
+def real_sync():
+    """Keep ``durable``'s real sync in this test (see ``unsynced``)."""
+
+
+@pytest.fixture
+def synced_dirs(real_sync, monkeypatch):
+    """(device, inode) of every directory passed to os.fsync, in order."""
+    synced = []
+    fsync = os.fsync
+
+    def recording(fd):
+        st = os.fstat(fd)
+        if stat.S_ISDIR(st.st_mode):
+            synced.append((st.st_dev, st.st_ino))
+        fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", recording)
+    return synced
+
+
+def identity(path) -> tuple:
+    """(device, inode) of ``path``, as ``synced_dirs`` records a directory."""
+    st = os.stat(path)
+    return st.st_dev, st.st_ino
 
 
 @pytest.fixture(autouse=True)

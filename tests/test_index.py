@@ -3,7 +3,6 @@ import json
 import math
 import os
 import random
-import stat
 import tempfile
 import tracemalloc
 from collections import Counter
@@ -44,6 +43,7 @@ from georocket.query.ast import (
 )
 from georocket.store import StoredEntry
 
+from conftest import identity
 from gendata import KEYS, TAGS, WORDS, geojson_feature, random_document, random_query
 
 
@@ -380,7 +380,7 @@ class TestComparisonColumns:
     def test_equal_to_oracle(self, specs, steps, queries):
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "idx"
-            index = ChunkIndex(path, fsync=False)
+            index = ChunkIndex(path)
             model = {}
             docs = [self._doc(i, spec) for i, spec in enumerate(specs)]
             index.add_documents(docs)
@@ -396,7 +396,7 @@ class TestComparisonColumns:
                 cid = f"C{i:04d}"
                 if action == "reopen":
                     index.close()
-                    index = ChunkIndex(path, fsync=False)
+                    index = ChunkIndex(path)
                 elif action == "re-add":
                     index.delete([cid])
                     model.pop(cid, None)
@@ -647,31 +647,11 @@ class TestPersistence:
         reopened.close()
 
 
-def _identity(path) -> tuple:
-    st = os.stat(path)
-    return st.st_dev, st.st_ino
-
-
 class TestSegmentLog:
-    @pytest.fixture
-    def synced_dirs(self, monkeypatch):
-        """(device, inode) of every directory passed to os.fsync, in order."""
-        synced = []
-        fsync = os.fsync
-
-        def recording(fd):
-            st = os.fstat(fd)
-            if stat.S_ISDIR(st.st_mode):
-                synced.append((st.st_dev, st.st_ino))
-            fsync(fd)
-
-        monkeypatch.setattr(os, "fsync", recording)
-        return synced
-
     def test_a_new_log_and_each_compaction_sync_their_directory(self, tmp_path, synced_dirs):
         root = tmp_path / "idx"
         log = SegmentLog(root)
-        segments = _identity(root / "segments")
+        segments = identity(root / "segments")
         assert synced_dirs == [segments]  # the new, empty log
         line = encode({"op": "delete", "ids": ["C0001"]})
         synced_dirs.clear()
@@ -682,13 +662,6 @@ class TestSegmentLog:
         log.close()
         assert SegmentLog(root).records == 0  # reopening creates nothing
         assert synced_dirs == [segments]
-
-    def test_no_directory_sync_without_fsync(self, tmp_path, synced_dirs):
-        log = SegmentLog(tmp_path / "idx", fsync=False)
-        log.append([encode({"op": "delete", "ids": ["C0001"]})])
-        log.compact([])
-        log.close()
-        assert synced_dirs == []
 
     def test_replay_yields_each_record_with_its_line(self, tmp_path):
         log = SegmentLog(tmp_path / "idx")
@@ -711,13 +684,13 @@ class TestCompactionRule:
 
     def test_an_add_only_ingest_never_compacts(self, tmp_path):
         root = tmp_path / "idx"
-        index = ChunkIndex(root, fsync=False)
+        index = ChunkIndex(root)
         for start in range(0, 2000, 256):
             index.add_documents([make_doc(i) for i in range(start, min(start + 256, 2000))])
         assert index.compactions == 0
         index.close()
         assert len(self._lines(root)) == 2000
-        reopened = ChunkIndex(root, fsync=False)
+        reopened = ChunkIndex(root)
         assert reopened.compactions == 0 and len(reopened) == 2000
         reopened.close()
 
@@ -725,7 +698,7 @@ class TestCompactionRule:
         # the geojson-index-ingest rounds scaled by 1/10: 800 preloaded, then
         # 6 updates, 204 adds and one delete of those 204 a round
         root = tmp_path / "idx"
-        index = ChunkIndex(root, fsync=False)
+        index = ChunkIndex(root)
         for start in range(0, 800, 256):
             index.add_documents([make_doc(i) for i in range(start, min(start + 256, 800))])
         after_round = []
@@ -1009,7 +982,7 @@ class TestMemory:
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            index = ChunkIndex(root, fsync=False)
+            index = ChunkIndex(root)
             for start in range(0, n, 256):
                 index.add_documents([build_document(e) for e in entries[start:start + 256]])
             gc.collect()
@@ -1026,7 +999,7 @@ class TestMemory:
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            index = ChunkIndex(root, fsync=False)
+            index = ChunkIndex(root)
             gc.collect()
             held = tracemalloc.get_traced_memory()[0] - before
         finally:
@@ -1139,7 +1112,7 @@ class TestConjunctionPlanner:
         layers = (ROOT_LAYER, parse_layer_path("/a"))
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "idx"
-            index = ChunkIndex(path, fsync=False)
+            index = ChunkIndex(path)
 
             def check(state):
                 for ast in queries:
@@ -1162,7 +1135,7 @@ class TestConjunctionPlanner:
                 del docs[cid]
             check("deleted")
             index.close()
-            index = ChunkIndex(path, fsync=False)
+            index = ChunkIndex(path)
             check("reopened")
             index.close()
 

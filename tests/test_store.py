@@ -1,4 +1,5 @@
 import hashlib
+import os
 import random
 import threading
 
@@ -15,6 +16,8 @@ from georocket.model import (
     parse_layer_path,
 )
 from georocket.store import FileSystemStore, MemoryStore, StoredEntry, create_store
+
+from conftest import identity
 
 XML_PARENTS = XmlParents(
     root_start=b'<CityModel xmlns:gml="http://www.opengis.net/gml">',
@@ -198,6 +201,28 @@ class TestFileSystemSpecifics:
         reopened = FileSystemStore(tmp_path / "s")
         assert list(reopened.scan()) == ["S00001"]
 
+    def test_open_removes_a_sidecar_without_its_chunk(self, tmp_path):
+        store = FileSystemStore(tmp_path / "s")
+        store.put(entry(1))
+        stray = tmp_path / "s" / "layers" / "a" / "b" / "S00002.meta"
+        stray.write_bytes((tmp_path / "s" / "layers" / "a" / "b" / "S00001.meta").read_bytes())
+        reopened = FileSystemStore(tmp_path / "s")
+        assert not stray.exists()
+        assert list(reopened.scan()) == ["S00001"]
+        assert reopened.get("S00001").content == entry(1).content
+
+    def test_open_removes_temp_files(self, tmp_path):
+        store = FileSystemStore(tmp_path / "s")
+        store.put(entry(1))
+        temps = [tmp_path / "s" / "layers" / "a" / "b" / "S00002.chunk.tmp",
+                 tmp_path / "s" / "layers" / "a" / "b" / "S00001.meta.tmp",
+                 tmp_path / "s" / "parents" / "0123abcd.json.tmp"]
+        for path in temps:
+            path.write_bytes(b"cut short")
+        reopened = FileSystemStore(tmp_path / "s")
+        assert [p for p in temps if p.exists()] == []
+        assert reopened.get("S00001").metadata == entry(1).metadata
+
     def test_unrecognised_sidecar_version(self, tmp_path):
         store = FileSystemStore(tmp_path / "s")
         store.put(entry(1))
@@ -216,6 +241,63 @@ class TestFileSystemSpecifics:
         store = FileSystemStore(tmp_path / "s")
         store.put(entry(1, layer="/"))
         assert store.get("S00001").metadata.layer == parse_layer_path("/")
+
+
+class TestFileSystemSyncs:
+    """Each write of the filesystem store is on disk, under its name, when it
+    returns: the directory it changed is synced."""
+
+    @pytest.fixture
+    def events(self, synced_dirs, monkeypatch):
+        """``synced_dirs`` with each rename between the syncs, by target name."""
+        replace = os.replace
+
+        def recording(src, dst):
+            replace(src, dst)
+            synced_dirs.append(("rename", os.path.basename(dst)))
+
+        monkeypatch.setattr(os, "replace", recording)
+        return synced_dirs
+
+    def test_put_syncs_the_parents_and_the_sidecar_before_the_chunk(self, tmp_path, events):
+        store = FileSystemStore(tmp_path / "s")
+        events.clear()
+        store.put(entry(1))
+        layers, parents = tmp_path / "s" / "layers", tmp_path / "s" / "parents"
+        (parents_name,) = [p.name for p in parents.iterdir()]
+        b = identity(layers / "a" / "b")
+        assert events == [
+            identity(layers), identity(layers / "a"),  # the new layer directories
+            ("rename", parents_name), identity(parents),
+            ("rename", "S00001.meta"), b,
+            ("rename", "S00001.chunk"), b,
+        ]
+        events.clear()
+        store.put(entry(2))  # the layer and its parents file exist
+        assert events == [("rename", "S00002.meta"), b, ("rename", "S00002.chunk"), b]
+
+    def test_a_new_store_syncs_its_directories(self, tmp_path, synced_dirs):
+        FileSystemStore(tmp_path / "new" / "s")
+        root = tmp_path / "new" / "s"
+        assert synced_dirs == [identity(tmp_path), identity(tmp_path / "new"), identity(root),
+                               identity(root)]  # made "new", "s", "layers" and "parents"
+
+    def test_update_metadata_syncs_its_directory(self, tmp_path, synced_dirs):
+        store = FileSystemStore(tmp_path / "s")
+        store.put(entry(1))
+        synced_dirs.clear()
+        store.update_metadata("S00001", MetadataDelta(add_tags=frozenset({"t"})))
+        assert synced_dirs == [identity(tmp_path / "s" / "layers" / "a" / "b")]
+
+    def test_delete_syncs_each_directory_once(self, tmp_path, synced_dirs):
+        store = FileSystemStore(tmp_path / "s")
+        for i, layer in enumerate(["/a/b", "/a/b", "/c", "/d"]):
+            store.put(entry(i, layer=layer))
+        synced_dirs.clear()
+        assert store.delete(["S00000", "S00001", "S00002", "S00009"]) == 3
+        layers = tmp_path / "s" / "layers"
+        assert synced_dirs == [identity(layers / "a" / "b"), identity(layers / "c")]
+        assert not list((layers / "a" / "b").iterdir())
 
 
 class TestScale:
