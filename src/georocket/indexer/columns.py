@@ -39,25 +39,27 @@ _first = itemgetter(0)
 class SortedEntries:
     """A multiset of tuples ``(sort key, ..., id)``, sorted lazily.
 
-    Adds append to an unsorted tail; the first read or removal after them
-    sorts the list, and Timsort merges the sorted run with a short tail in
-    near-linear time. Removals rewrite the list in place: a new list would
-    be a young object that every full garbage collection rescans, entry by
+    ``_sorted`` counts the entries at the front known to be in order. Adds
+    append behind them; the first read or removal after them sorts the
+    list, and Timsort merges the sorted run with a short tail in
+    near-linear time. Removals keep the order, so dropping every entry
+    added since the last read (an import deleted or rolled back) leaves
+    nothing to sort. They rewrite the list in place: a new list would be a
+    young object that every full garbage collection rescans, entry by
     entry, until the server freezes the heap again (see ``server.app``).
     """
 
-    __slots__ = ("_items", "_dirty")
+    __slots__ = ("_items", "_sorted")
 
     def __init__(self):
         self._items: list[tuple] = []
-        self._dirty = False
+        self._sorted = 0
 
     def __len__(self) -> int:
         return len(self._items)
 
     def add(self, entry: tuple) -> None:
         self._items.append(entry)
-        self._dirty = True
 
     def remove(self, entries: list[tuple]) -> None:
         """Remove one occurrence of each of ``entries``; all must be present.
@@ -67,21 +69,28 @@ class SortedEntries:
         them by id instead (see ``drop_ids``).
         """
         items = self.items()
-        for entry in entries:
-            i = bisect_left(items, entry)
-            if i == len(items) or items[i] != entry:
-                raise KeyError(entry)
-            del items[i]
+        try:
+            for entry in entries:
+                i = bisect_left(items, entry)
+                if i == len(items) or items[i] != entry:
+                    raise KeyError(entry)
+                del items[i]
+        finally:  # the entries before a missing one are gone
+            self._sorted = len(items)
 
     def drop_ids(self, ids: set[str]) -> None:
         """Remove every entry of the chunks ``ids`` in one pass."""
-        self._items[:] = [entry for entry in self._items if entry[-1] not in ids]
+        items, n = self._items, self._sorted
+        kept = [entry for entry in items[:n] if entry[-1] not in ids]
+        self._sorted = len(kept)
+        kept += [entry for entry in items[n:] if entry[-1] not in ids]
+        items[:] = kept
 
     def items(self) -> list[tuple]:
         """The entries in order."""
-        if self._dirty:
+        if self._sorted < len(self._items):
             self._items.sort()
-            self._dirty = False
+            self._sorted = len(self._items)
         return self._items
 
     def ids_between(self, lower, upper) -> set[str]:

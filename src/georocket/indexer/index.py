@@ -10,7 +10,10 @@ Comparisons are answered from the columns by binary search in O(log n +
 matches) (see ``columns``): text EQ is case-insensitive while the ordering
 operators compare code points, dates compare as intervals at their
 granularity, and a NaN value satisfies only LTE and GTE. Date terms are
-answered the same way from the import timestamps, sorted.
+answered the same way from the import timestamps, sorted. Columns and
+timestamps sort lazily: adds wait behind the part in order until a search
+reads them, and a delete keeps that part in order, so a batch added and
+deleted again between two searches costs neither of them a sort.
 
 Conjunctions are planned by cost, as Lucene plans them: each child of an
 AND gets an estimate in O(log n) at most (posting lengths, the width of a

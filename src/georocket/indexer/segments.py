@@ -58,7 +58,7 @@ class SegmentLog:
                 f"index directory {self.root} has the layout of an earlier version; "
                 "delete the directory to rebuild the index from the store")
         try:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
+            durable.mkdir(self.path.parent)
             if not self.path.exists():
                 durable.write_atomic(self.path, _HEADER)
         except OSError as e:

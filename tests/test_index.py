@@ -15,7 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from georocket.errors import DuplicateIdError, StorageError, UnknownIdError
 from georocket.indexer import ChunkIndex, IndexDocument, IndexedAttribute, build_document
-from georocket.indexer.columns import _FEW, SortedEntries
+from georocket.indexer.columns import _FEW, SortedEntries, TypedColumns
 from georocket.indexer.segments import SEGMENT_MAGIC, SegmentLog, encode
 from georocket.indexer.spatial import SpatialIndex, _intersects
 from georocket.model import (
@@ -456,6 +456,19 @@ class TestComparisonColumns:
         assert index.query(parse_query("2017-07-14")) == expected  # the import date
 
 
+_ENTRY_KEYS = st.integers(0, 6)
+_ENTRY_IDS = st.sampled_from(["a", "b", "c", "d", "e"])
+# steps on a SortedEntries of (key, id) pairs: a removal picks entries held,
+# by index, and may put one that no chunk holds at a given position
+_ENTRY_STEPS = st.lists(st.one_of(
+    st.tuples(st.just("add"), _ENTRY_KEYS, _ENTRY_IDS),
+    st.tuples(st.just("remove"), st.lists(st.integers(0, 30), max_size=4), st.integers(-1, 4)),
+    st.tuples(st.just("drop_ids"), st.frozensets(_ENTRY_IDS, max_size=3)),
+    st.tuples(st.just("items")),
+    st.tuples(st.just("between"), _ENTRY_KEYS, _ENTRY_KEYS),
+), max_size=40)
+
+
 class TestSortedEntries:
     @pytest.mark.parametrize("count", [3, _FEW], ids=["binary search", "the most by binary search"])
     def test_remove_takes_one_occurrence_of_each(self, count):
@@ -474,6 +487,121 @@ class TestSortedEntries:
         entries.add((1, "C0001"))
         with pytest.raises(KeyError):
             entries.remove([(1, "C0001")] + [(2, "C0002")] * count)
+
+    @settings(max_examples=200, deadline=None)
+    @example(steps=[  # a drop that leaves a tail behind the sorted part
+        ("add", 3, "a"), ("add", 1, "b"), ("items",), ("add", 0, "c"), ("add", 5, "d"),
+        ("drop_ids", frozenset({"d"})), ("items",)])
+    @example(steps=[  # a removal that raises after it removed an entry
+        ("add", 1, "a"), ("add", 2, "b"), ("items",), ("remove", [0], 1), ("add", 0, "c"),
+        ("items",)])
+    @given(steps=_ENTRY_STEPS)
+    def test_equal_to_a_sorted_list(self, steps):
+        entries, model = SortedEntries(), []
+        for step in steps:
+            action, *args = step
+            if action == "add":
+                entries.add(tuple(args))
+                model.append(tuple(args))
+            elif action == "remove":
+                picks, missing_at = args
+                gone = [model[i % len(model)] for i in picks] if model else []
+                if missing_at >= 0:
+                    gone.insert(missing_at, (99, "z"))  # held by no chunk
+                try:
+                    for entry in gone:
+                        model.remove(entry)
+                except ValueError:  # the entries before the missing one are gone
+                    with pytest.raises(KeyError):
+                        entries.remove(gone)
+                else:
+                    entries.remove(gone)
+            elif action == "drop_ids":
+                entries.drop_ids(set(args[0]))
+                model = [entry for entry in model if entry[-1] not in args[0]]
+            elif action == "items":
+                assert entries.items() == sorted(model), step
+            else:
+                lower, upper = args
+                inside = [entry for entry in model if lower <= entry[0] < upper]
+                assert entries.count_between(lower, upper) == len(inside), step
+                assert entries.ids_between(lower, upper) == {cid for _, cid in inside}, step
+            held = entries._items
+            assert sorted(held) == sorted(model), step
+            assert held[:entries._sorted] == sorted(held[:entries._sorted]), step
+
+    def test_dropping_the_entries_added_since_a_read_leaves_nothing_to_sort(self):
+        comparisons = []
+
+        class Key:
+            """A sort key that counts how often it is compared."""
+
+            def __init__(self, value):
+                self.value = value
+
+            def __eq__(self, other):
+                comparisons.append(1)
+                return self.value == other.value
+
+            def __lt__(self, other):
+                comparisons.append(1)
+                return self.value < other.value
+
+        rng = random.Random(8)
+        entries = SortedEntries()
+        for i in range(200):
+            entries.add((Key(rng.randrange(50)), f"C{i:04d}"))
+        held = list(entries.items())
+        for i in range(200, 300):
+            entries.add((Key(rng.randrange(50)), f"C{i:04d}"))
+        entries.drop_ids({f"C{i:04d}" for i in range(200, 300)})
+        comparisons.clear()
+        assert entries.items() == held
+        assert comparisons == []
+
+
+def _entry_lists(columns: TypedColumns) -> list[SortedEntries]:
+    """Every ``SortedEntries`` of ``columns``."""
+    return [getattr(column, slot) for column in columns._columns.values()
+            for slot in type(column).__slots__
+            if isinstance(getattr(column, slot), SortedEntries)]
+
+
+def _bench_features(rng, first, n, timestamp):
+    """GeoJSON features ``first .. first + n - 1`` shaped like the benchmark's:
+    a name, one of 500 streets, a height up to 80 and a built date."""
+    parents = GeoJsonParents(CollectionKind.FEATURE_COLLECTION)
+    metadata = ChunkMetadata(layer=ROOT_LAYER, import_timestamp=timestamp, format=Format.GEOJSON)
+    return [build_document(StoredEntry(
+        id=f"C{i:05d}", parents=parents, metadata=metadata, sequence=i, content=(
+            '{"type":"Feature","geometry":{"type":"Point","coordinates":[%f,%f]},'
+            '"properties":{"name":"f%d","street":"Weg%03d","height":%.1f,'
+            '"built":"%04d-%02d-%02d"}}'
+            % (rng.random(), rng.random(), i, i % 500, rng.uniform(3, 80),
+               rng.randint(1900, 1999), rng.randint(1, 12), rng.randint(1, 28))).encode()))
+        for i in range(first, first + n)]
+
+
+class TestSortedAfterABatch:
+    """A batch added after the lists were read, and deleted again, leaves
+    them in order."""
+
+    def test_a_deleted_batch_leaves_every_sorted_list_in_order(self):
+        rng = random.Random(21)
+        docs = _bench_features(rng, 0, 2000, 1600000000000)  # 2020-09-13
+        index = ChunkIndex()
+        index.add_documents(docs)
+        lists = [index._timestamps, *_entry_lists(index._columns)]
+        for entries in lists:  # as the queries of a round read them
+            entries.items()
+        batch = _bench_features(rng, 2000, _FEW + 100, 1700000000000)  # 2023-11-14
+        index.add_documents(batch)
+        assert all(entries._sorted < len(entries) for entries in lists)
+        index.delete([doc.chunk_id for doc in batch])
+        assert [entries._sorted for entries in lists] == [len(entries) for entries in lists]
+        for query in ("EQ(built 1950-03)", "GT(height 40)", "2020-09-13", "2023"):
+            ast = parse_query(query)
+            assert index.query(ast) == oracle_ids(docs, ast), query
 
 
 class TestPersistence:
@@ -652,7 +780,8 @@ class TestSegmentLog:
         root = tmp_path / "idx"
         log = SegmentLog(root)
         segments = identity(root / "segments")
-        assert synced_dirs == [segments]  # the new, empty log
+        # made "idx" and "segments", each synced in its parent; the new, empty log
+        assert synced_dirs == [identity(tmp_path), identity(root), segments]
         line = encode({"op": "delete", "ids": ["C0001"]})
         synced_dirs.clear()
         log.append([line])  # the file exists: only its data is synced
@@ -662,6 +791,12 @@ class TestSegmentLog:
         log.close()
         assert SegmentLog(root).records == 0  # reopening creates nothing
         assert synced_dirs == [segments]
+
+    def test_a_new_index_directory_is_synced_in_its_parent(self, tmp_path, synced_dirs):
+        root = tmp_path / "new" / "idx"
+        SegmentLog(root).close()
+        assert synced_dirs == [identity(tmp_path), identity(tmp_path / "new"), identity(root),
+                               identity(root / "segments")]  # the three made, then the log's
 
     def test_replay_yields_each_record_with_its_line(self, tmp_path):
         log = SegmentLog(tmp_path / "idx")
