@@ -52,6 +52,12 @@ def remove(paths) -> None:
         _sync_dir(directory)
 
 
+def sync_dirs(paths) -> None:
+    """Sync each directory in ``paths``, so the names in it are on disk."""
+    for path in paths:
+        _sync_dir(path)
+
+
 def mkdir(path: Path) -> None:
     """Make directory ``path`` and its missing parents, each synced in its parent."""
     missing = itertools.takewhile(lambda p: not p.is_dir(), (path, *path.parents))

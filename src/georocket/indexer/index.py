@@ -1,10 +1,15 @@
 """Embedded search index over chunk documents.
 
-Combines an inverted token index (content tokens, tags, property-value
-tokens), sorted typed columns of attribute and property values, a packed
-spatial tree, and import timestamps, behind one object. Queries are answered
-by set algebra over these structures and must return exactly the ids the
-reference evaluator accepts; the test suite enforces that equivalence.
+Combines an inverted token index, sorted typed columns of attribute and
+property values, a packed spatial tree, and import timestamps, behind one
+object. A text term is one predicate, as in the reference evaluator: the
+token is among the chunk's content tokens, its lowered tags or its
+property-value tokens. So one postings table holds, for each chunk, the
+distinct union of the three, and a text term costs one lookup to match, to
+estimate or to check on a candidate. The spatial tree's hits are exact, so a
+bbox term returns them as they are. Queries are answered by set algebra
+over these structures and must return exactly the ids the reference
+evaluator accepts; the test suite enforces that equivalence.
 
 Comparisons are answered from the columns by binary search in O(log n +
 matches) (see ``columns``): text EQ is case-insensitive while the ordering
@@ -32,12 +37,14 @@ how each node was evaluated (``explain=true`` on a search).
 Memory: a posting held by one chunk (most content tokens of a feature:
 its coordinates, its name) is the bare id string, and a set is made only
 when a second chunk posts the token; the set turns back into the bare id
-when it drops to one chunk. ``_post``, ``_unpost`` and ``_posted`` are the
-only ways in, except the content-token loops of an add and a delete, which
-are inline. Documents keep their tokens as one sorted tuple, and the
-document, metadata and value dataclasses use slots. Together with the kept log line, a 243-byte GeoJSON
-feature costs about 3.7-3.8 KB of index (tracemalloc, 10 000 and 40 000
-features, log on), linear in the number of documents.
+when it drops to one chunk. ``_post`` and ``_unpost`` are the only ways
+in: an add posts a chunk's tokens, a delete unposts them, and an update
+unposts only the metadata tokens that leave the chunk and are not content
+tokens, and posts only those that arrive. Documents keep their tokens as one
+sorted tuple, and the document, metadata and value dataclasses use slots.
+Together with the kept log line, a 243-byte GeoJSON feature costs about
+3.7-3.8 KB of index (tracemalloc, 10 000 and 40 000 features, log on),
+linear in the number of documents.
 
 Durability: every committed batch is appended to a one-file log and
 replayed on open. Once the log holds at least twice as many records as
@@ -110,10 +117,10 @@ class ChunkIndex:
         """Open (or create) an index; ``path=None`` keeps it in memory only."""
         self._lock = threading.RLock()
         self._docs: dict[str, IndexDocument] = {}
-        # postings: token -> the one chunk id holding it, or a set of two or more
-        self._content_tokens: dict[str, str | set[str]] = {}
-        self._tag_ids: dict[str, str | set[str]] = {}
-        self._prop_tokens: dict[str, str | set[str]] = {}
+        # postings: token -> the one chunk id holding it, or a set of two or
+        # more; a chunk holds its content tokens, lowered tags and
+        # property-value tokens
+        self._postings: dict[str, str | set[str]] = {}
         self._columns = TypedColumns()
         self._layer_ids: dict[tuple, set[str]] = {}  # keyed by LayerPath.segments
         self._order: dict[str, tuple] = {}  # id -> order_key(); metadata never changes it
@@ -234,20 +241,7 @@ class ChunkIndex:
             raise DuplicateIdError(f"chunk {doc.chunk_id} is already indexed")
         cid = doc.chunk_id
         self._docs[cid] = doc
-        content = self._content_tokens
-        for token in doc.tokens:  # inline, as in _apply_delete; the tokens are distinct
-            held = content.get(token)
-            if held is None:
-                content[token] = cid
-            elif type(held) is str:
-                content[token] = {held, cid}
-            else:
-                held.add(cid)
-        for tag in doc.metadata.tags:
-            _post(self._tag_ids, tag.lower(), cid)
-        if doc.metadata.properties:
-            for token in _property_tokens(doc.metadata.properties):
-                _post(self._prop_tokens, token, cid)
+        _post(self._postings, _chunk_tokens(doc), cid)
         for attr in doc.attributes:
             self._columns.add(attr.key, attr.value, cid)
         for key, raw in doc.metadata.properties.items():
@@ -269,19 +263,12 @@ class ChunkIndex:
             doc = self._docs[chunk_id]
             old_meta = doc.metadata
             new_meta = old_meta.with_delta(delta)
-            # by lowered tag: dropping "Berlin" keeps a remaining "berlin" posted
-            old_tags = {tag.lower() for tag in old_meta.tags}
-            new_tags = {tag.lower() for tag in new_meta.tags}
-            for tag in old_tags - new_tags:
-                _unpost(self._tag_ids, tag, chunk_id)
-            for tag in new_tags - old_tags:
-                _post(self._tag_ids, tag, chunk_id)
-            old_tokens = _property_tokens(old_meta.properties)
-            new_tokens = _property_tokens(new_meta.properties)
-            for token in old_tokens - new_tokens:
-                _unpost(self._prop_tokens, token, chunk_id)
-            for token in new_tokens - old_tokens:
-                _post(self._prop_tokens, token, chunk_id)
+            # by lowered token: dropping "Berlin" keeps a remaining "berlin"
+            # posted, and so does a content token of the chunk
+            old_tokens = _metadata_tokens(old_meta)
+            new_tokens = _metadata_tokens(new_meta)
+            _unpost(self._postings, (old_tokens - new_tokens).difference(doc.tokens), chunk_id)
+            _post(self._postings, (new_tokens - old_tokens).difference(doc.tokens), chunk_id)
             old_props, new_props = old_meta.properties, new_meta.properties
             gone.extend((key, TypedValue.from_text(raw), chunk_id)
                         for key, raw in old_props.items() if new_props.get(key) != raw)
@@ -310,26 +297,13 @@ class ChunkIndex:
     def _apply_delete(self, ids) -> None:
         docs = []
         by_layer: dict[tuple, list[str]] = {}
-        content = self._content_tokens
         for chunk_id in ids:
             doc = self._docs.pop(chunk_id, None)
             if doc is None:
                 continue
             docs.append(doc)
             self._lines.pop(chunk_id, None)
-            for token in doc.tokens:  # inline: a call per (token, chunk) is a third of a delete
-                held = content[token]
-                if type(held) is str:
-                    del content[token]
-                else:
-                    held.discard(chunk_id)
-                    if len(held) == 1:
-                        content[token] = held.pop()
-            for tag in doc.metadata.tags:
-                _unpost(self._tag_ids, tag.lower(), chunk_id)
-            if doc.metadata.properties:
-                for token in _property_tokens(doc.metadata.properties):
-                    _unpost(self._prop_tokens, token, chunk_id)
+            _unpost(self._postings, _chunk_tokens(doc), chunk_id)
             by_layer.setdefault(doc.metadata.layer.segments, []).append(chunk_id)
             self._spatial.remove(chunk_id)
         for segments, gone in by_layer.items():
@@ -399,22 +373,11 @@ class ChunkIndex:
         if isinstance(node, MatchAll):
             return set(self._docs)
         if isinstance(node, TextTerm):
-            token = node.token.lower()
-            return (
-                _posted(self._content_tokens, token)
-                | _posted(self._tag_ids, token)
-                | _posted(self._prop_tokens, token)
-            )
+            held = self._postings.get(node.token.lower(), ())
+            return {held} if type(held) is str else set(held)
         if isinstance(node, BBoxTerm):
             b = node.bbox
-            candidates = self._spatial.candidates((b.min_x, b.min_y, b.max_x, b.max_y))
-            return {
-                cid
-                for cid in candidates
-                if cid in self._docs
-                and self._docs[cid].bbox is not None
-                and self._docs[cid].bbox.intersects(b)
-            }
+            return self._spatial.candidates((b.min_x, b.min_y, b.max_x, b.max_y))
         if isinstance(node, DateTerm):
             return self._timestamps.ids_between(*_date_bounds(node))
         if isinstance(node, Comparison):
@@ -474,10 +437,8 @@ class ChunkIndex:
         for a text term, the width of the sorted run a comparison or a date
         term reads, and the live-document count for anything else."""
         if isinstance(node, TextTerm):
-            token = node.token.lower()
-            return (_posting_length(self._content_tokens, token)
-                    + _posting_length(self._tag_ids, token)
-                    + _posting_length(self._prop_tokens, token))
+            held = self._postings.get(node.token.lower(), ())
+            return 1 if type(held) is str else len(held)
         if isinstance(node, Comparison):
             return self._columns.count(node.op, node.key, node.value)
         if isinstance(node, DateTerm):
@@ -489,10 +450,8 @@ class ChunkIndex:
         term by membership in the postings, anything else by the reference
         evaluator on the document."""
         if isinstance(node, TextTerm):
-            token = node.token.lower()
-            content, tags, props = self._content_tokens, self._tag_ids, self._prop_tokens
-            return lambda cid: (_is_posted(content, token, cid) or _is_posted(tags, token, cid)
-                                or _is_posted(props, token, cid))
+            held = self._postings.get(node.token.lower(), ())
+            return held.__eq__ if type(held) is str else held.__contains__
         docs = self._docs
         return lambda cid: evaluate_oracle(node, docs[cid])
 
@@ -511,37 +470,48 @@ class ChunkIndex:
             return len(self._docs)
 
 
-def _property_tokens(properties: dict) -> set[str]:
-    tokens: set[str] = set()
-    for value in properties.values():
+def _metadata_tokens(meta: ChunkMetadata) -> set[str]:
+    """The lowered tags and property-value tokens of ``meta``."""
+    tokens = {tag.lower() for tag in meta.tags}
+    for value in meta.properties.values():
         tokens |= tokenize(value)
     return tokens
 
 
-def _post(table: dict, key: str, chunk_id: str) -> None:
-    """Add ``chunk_id`` to the postings of ``key``."""
-    held = table.get(key)
-    if held is None:
-        table[key] = chunk_id
-    elif type(held) is str:
-        if held != chunk_id:
-            table[key] = {held, chunk_id}
-    else:
-        held.add(chunk_id)
+def _chunk_tokens(doc: IndexDocument):
+    """The distinct tokens a chunk is posted under: its content tokens, and
+    its metadata tokens when it has any."""
+    meta = doc.metadata
+    if meta.tags or meta.properties:
+        return _metadata_tokens(meta).union(doc.tokens)
+    return doc.tokens
 
 
-def _unpost(table: dict, key: str, chunk_id: str) -> None:
-    """Remove ``chunk_id`` from the postings of ``key``, if it is there."""
-    held = table.get(key)
-    if held is None:
-        return
-    if type(held) is str:
-        if held == chunk_id:
-            del table[key]
-    else:
-        held.discard(chunk_id)
-        if len(held) == 1:
-            table[key] = held.pop()
+# a call per token was a third of a delete, so these loop inside
+def _post(table: dict, tokens, chunk_id: str) -> None:
+    """Add ``chunk_id`` to the postings of each of ``tokens``: distinct, and
+    none of them posted for the chunk yet."""
+    for token in tokens:
+        held = table.get(token)
+        if held is None:
+            table[token] = chunk_id
+        elif type(held) is str:
+            table[token] = {held, chunk_id}
+        else:
+            held.add(chunk_id)
+
+
+def _unpost(table: dict, tokens, chunk_id: str) -> None:
+    """Remove ``chunk_id`` from the postings of each of ``tokens``: distinct,
+    and each of them posted for the chunk."""
+    for token in tokens:
+        held = table[token]
+        if type(held) is str:
+            del table[token]
+        else:
+            held.discard(chunk_id)
+            if len(held) == 1:
+                table[token] = held.pop()
 
 
 def _entry(trace: list, node: QueryNode, depth: int, estimate: int, strategy: str,
@@ -559,28 +529,6 @@ def _done(entry: dict | None, out: set) -> None:
         entry["us"] = round((time.perf_counter() - entry["us"]) * 1e6, 1)
 
 
-def _posting_length(table: dict, key: str) -> int:
-    held = table.get(key)
-    if held is None:
-        return 0
-    return 1 if type(held) is str else len(held)
-
-
-def _is_posted(table: dict, key: str, chunk_id: str) -> bool:
-    held = table.get(key)
-    if held is None:
-        return False
-    return held == chunk_id if type(held) is str else chunk_id in held
-
-
 def _date_bounds(node: DateTerm) -> tuple[int, int]:
     """The import timestamps (epoch ms) of a date term's half-open interval."""
     return epoch_ms_from_key(node.date.lower_key()), epoch_ms_from_key(node.date.upper_key())
-
-
-def _posted(table: dict, key: str) -> set[str]:
-    """A new set of the chunk ids posted under ``key``."""
-    held = table.get(key)
-    if held is None:
-        return set()
-    return {held} if type(held) is str else set(held)

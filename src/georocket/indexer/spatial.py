@@ -6,17 +6,19 @@ leaf pages; upper levels pack the page rectangles the same way.
 
 ``SpatialIndex`` keeps one such tree and amortises writes on the query
 side: an add only puts the entry in a pending list, which queries scan
-linearly, and a removal drops a pending entry or leaves a tombstone for an
-entry in the tree. The tree is repacked by the first query that finds more
-than ``rebuild_threshold`` pending entries or tombstones, so a query scans
-at most that many pending entries, and an ingest that runs no query never
-repacks: the repack falls on the first bbox query after it instead, which
-pays once for packing the whole index (about 7 ms at 8 000 entries and
-40 ms at 32 000 on a 2-vCPU machine). Entries added and removed between two
-queries never reach the tree.
+linearly, and a removal only forgets the payload's live rectangle. An entry
+of the tree counts only while its payload is live and not pending, so one
+removed or moved since the last repack is stale, and queries skip it. The
+tree is repacked by the first query that finds more than
+``rebuild_threshold`` pending or stale entries, so a query scans at most
+that many pending entries, and an ingest that runs no query never repacks:
+the repack falls on the first bbox query after it instead, which pays once
+for packing the whole index (about 7 ms at 8 000 entries and 40 ms at
+32 000 on a 2-vCPU machine). Entries added and removed between two queries
+never reach the tree.
 
-Queries return a candidate superset: every stored rectangle intersecting the
-search box is among the candidates (callers post-filter exactly).
+Queries are exact: they return the live payloads whose rectangle
+intersects the search box, edges included, and no others.
 """
 
 from __future__ import annotations
@@ -128,50 +130,45 @@ class StrTree:
 
 
 class SpatialIndex:
-    """Mutable wrapper: STR tree plus pending inserts and tombstones,
-    repacked by queries (see the module docstring)."""
+    """Mutable wrapper: STR tree plus pending inserts, repacked by queries
+    (see the module docstring)."""
 
     def __init__(self, rebuild_threshold: int = 1024, node_capacity: int = 16):
         self.rebuild_threshold = rebuild_threshold
         self.node_capacity = node_capacity
         self._rects: dict = {}  # payload -> rect (live truth)
         self._tree = StrTree([], node_capacity)
+        self._packed = 0  # entries in the tree, stale ones included
         self._pending: dict = {}
-        self._removed: set = set()
 
     def __len__(self) -> int:
         return len(self._rects)
 
     def add(self, payload, rect) -> None:
         rect = tuple(float(v) for v in rect)
-        if payload in self._rects and payload not in self._pending:
-            self._removed.add(payload)  # its entry in the tree is stale
         self._rects[payload] = rect
         self._pending[payload] = rect
 
     def remove(self, payload) -> None:
-        if payload in self._rects:
-            del self._rects[payload]
-            # a pending entry goes at once; one in the tree, or a stale one
-            # there beside a pending one (tombstoned by ``add``), stays
-            # tombstoned until the next repack
-            if self._pending.pop(payload, None) is None:
-                self._removed.add(payload)
+        if self._rects.pop(payload, None) is not None:
+            self._pending.pop(payload, None)
 
     def candidates(self, rect) -> set:
-        """Superset of live payloads whose rectangle intersects ``rect``."""
-        if max(len(self._pending), len(self._removed)) > self.rebuild_threshold:
+        """The live payloads whose rectangle intersects ``rect``."""
+        rects, pending = self._rects, self._pending
+        # every live payload that is not pending has its one entry in the
+        # tree, so the other entries there are stale
+        stale = self._packed - len(rects) + len(pending)
+        if max(len(pending), stale) > self.rebuild_threshold:
             self.rebuild()
         rect = tuple(float(v) for v in rect)
-        found = {p for p in self._tree.query(rect) if p not in self._removed}
-        for payload, r in self._pending.items():
-            if _intersects(r, rect):
-                found.add(payload)
+        found = {p for p in self._tree.query(rect) if p in rects and p not in pending}
+        found.update(p for p, r in pending.items() if _intersects(r, rect))
         return found
 
     def rebuild(self) -> None:
-        """Repack everything into one tree; drops tombstones and pending."""
+        """Repack every live entry into one tree; empties the pending list."""
         # one (rect, payload) tuple per entry, kept as the tree's leaf entry
         self._tree = StrTree(list(zip(self._rects.values(), self._rects)), self.node_capacity)
+        self._packed = len(self._rects)
         self._pending.clear()
-        self._removed.clear()

@@ -27,7 +27,8 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, fields
+import typing
+from dataclasses import dataclass
 
 from ..errors import ConfigError
 
@@ -102,17 +103,17 @@ def _read_keys(raw: dict, keys: dict, prefix: str, values: dict) -> None:
             values[target] = value
 
 
-_FIELD_TYPES = {f.name: f.type for f in fields(ServerConfig)}
+_FIELD_TYPES = typing.get_type_hints(ServerConfig)  # field -> its declared type
 
 
 def _coerce(name: str, raw: str):
-    if name in ("port", "max_concurrent_requests", "index_batch_size", "index_queue_size"):
-        return int(raw)
-    if name == "task_retention_seconds":
-        return float(raw)
-    if name == "reconcile_on_start":
+    """``raw`` as the type that ``ServerConfig`` declares for field ``name``."""
+    declared = _FIELD_TYPES[name]
+    if declared is bool:
         return raw.strip().lower() in ("1", "true", "yes", "on")
-    return raw
+    if declared in (int, float):
+        return declared(raw)
+    return raw  # a str, or an optional one
 
 
 def load_config(path: str | None = None, env=None) -> ServerConfig:

@@ -81,7 +81,6 @@ from urllib.parse import parse_qs, unquote, urlsplit
 from .. import __version__
 from ..errors import (
     GeoRocketError,
-    MalformedPathError,
     NotFoundError,
     ParseError,
     RequestTimeoutError,
@@ -349,12 +348,7 @@ class _Handler(socketserver.StreamRequestHandler):
             pass
 
     def _layer(self, segments: list[str]):
-        try:
-            return parse_layer_path("/".join(unquote(s) for s in segments))
-        except MalformedPathError:
-            raise
-        except Exception as e:  # pragma: no cover - defensive
-            raise MalformedPathError(str(e)) from e
+        return parse_layer_path("/".join(unquote(s) for s in segments))
 
     def _route(self):
         parts = urlsplit(self.path)

@@ -10,7 +10,11 @@ Parents are deduplicated: all chunks of one import share a single parents
 file, referenced from the sidecar by content hash. Every write goes through
 ``durable``; the chunk file, written after its parents file and sidecar, is
 the commit point. Opening the store removes the ``*.tmp`` files and unpaired
-chunks and sidecars that a power loss may leave. The sidecar is a
+chunks and sidecars that a power loss may leave. Opening a store that was
+there also syncs each of its directories once: a process killed between a
+rename or a mkdir and the sync of its directory leaves a name that is not
+yet durable, and ``put`` takes an existing layer directory or parents file
+as durable. The sidecar is a
 line-delimited record versioned with a `v1` header::
 
     v1
@@ -128,15 +132,18 @@ class FileSystemStore(ChunkStore):
         self._lock = threading.RLock()
         self._paths: dict[str, Path] = {}  # id -> directory holding the pair
         try:
+            fresh = not self.layers_dir.is_dir()  # made first, so nothing else is there
             durable.mkdir(self.layers_dir)
             durable.mkdir(self.parents_dir)
-            self._load()
+            self._load(fresh)
         except OSError as e:
             raise StorageError(f"cannot open store at {self.root}: {e}") from e
 
-    def _load(self) -> None:
+    def _load(self, fresh: bool) -> None:
         stray = list(self.parents_dir.glob("*.tmp"))
+        walked = []
         for directory, _, files in os.walk(self.layers_dir):
+            walked.append(directory)
             names = set(files)
             for name in files:
                 stem, ext = os.path.splitext(name)
@@ -144,6 +151,8 @@ class FileSystemStore(ChunkStore):
                     self._paths[stem] = Path(directory)
                 elif ext in (".chunk", ".tmp") or (ext == ".meta" and stem + ".chunk" not in names):
                     stray.append(Path(directory, name))  # left by a cut put or delete
+        if not fresh:  # its directories may hold names a killed process did not sync
+            durable.sync_dirs([self.root, self.parents_dir, *walked])
         durable.remove(stray)
 
     def _layer_dir(self, layer: LayerPath) -> Path:

@@ -15,7 +15,11 @@ OSDI 2018), on plain files:
   Before that, each is applied or not, independently of the others.
 - A name under a directory that did not survive is gone.
 
-What was on disk when recording began counts as synced.
+What was on disk when recording began counts as synced, except the entries
+named ``unsynced``: a process killed before it synced their directory left
+them there. The trace begins by making each of them, its data synced and
+its name not, so a power loss keeps it only once a later sync of its
+directory has run.
 """
 
 from __future__ import annotations
@@ -30,23 +34,30 @@ from georocket import durable
 
 
 class Recorder:
-    """Log every durable call made under ``root``, with marks in between."""
+    """Log every durable call made under ``root``, with marks in between.
 
-    def __init__(self, root):
+    ``unsynced`` names entries of the tree, relative to ``root``, whose names
+    are not yet durable when recording begins."""
+
+    def __init__(self, root, unsynced=()):
         self.root = Path(root)
+        self.unsynced = set(unsynced)
         self.trace: list[tuple] = []
-        self.files: dict[str, bytes] = {}  # the tree when recording began
+        self.files: dict[str, bytes] = {}  # the synced tree when recording began
         self.dirs: set[str] = {"."}
         self._lock = threading.Lock()
 
     def install(self, monkeypatch) -> None:
         for path in sorted(self.root.rglob("*")):
             rel = self._rel(path)
-            if path.is_dir():
+            data = None if path.is_dir() else path.read_bytes()
+            if rel in self.unsynced:
+                self.trace.append(("made", rel, data))
+            elif data is None:
                 self.dirs.add(rel)
             else:
-                self.files[rel] = path.read_bytes()
-        for name in ("write_atomic", "append", "remove", "mkdir"):
+                self.files[rel] = data
+        for name in ("write_atomic", "append", "remove", "mkdir", "sync_dirs"):
             monkeypatch.setattr(durable, name, self._wrap(name, getattr(durable, name)))
 
     def mark(self, event: str, **info) -> None:
@@ -68,7 +79,7 @@ class Recorder:
                     raw = data.encode("utf-8") if isinstance(data, str) else bytes(data)
                     self.trace.append((name, self._rel(target.name), raw))
                     return fn(target, data)
-                if name == "remove":
+                if name in ("remove", "sync_dirs"):
                     target = list(target)
                     self.trace.append((name, [self._rel(p) for p in target]))
                     return fn(target)
@@ -87,7 +98,9 @@ def steps(recorder: Recorder) -> tuple[list[tuple], list[tuple]]:
 
     Steps are ``("create", name, inode)``, ``("write", inode, bytes)``,
     ``("fsync", inode)``, ``("rename", src, dst, inode)``, ``("unlink",
-    name)``, ``("mkdir", name)`` and ``("dirsync", directory)``."""
+    name)``, ``("mkdir", name)`` and ``("dirsync", directory)``. An entry
+    left unsynced before recording began is made by a ``mkdir``, or by a
+    synced ``create`` and ``write``, with no sync of its directory."""
     names = {path: ("old", path) for path in recorder.files}  # as the program saw them
     dirs = set(recorder.dirs)
     inodes = itertools.count()
@@ -97,6 +110,15 @@ def steps(recorder: Recorder) -> tuple[list[tuple], list[tuple]]:
         kind = call[0]
         if kind == "mark":
             marks.append((len(out), call[1], call[2]))
+        elif kind == "made":
+            _, path, data = call
+            if data is None:
+                out.append(("mkdir", path))
+                dirs.add(path)
+            else:
+                ino = next(inodes)
+                out += [("create", path, ino), ("write", ino, data), ("fsync", ino)]
+                names[path] = ino
         elif kind == "write_atomic":
             _, path, data = call
             tmp, ino = path + ".tmp", next(inodes)
@@ -122,6 +144,8 @@ def steps(recorder: Recorder) -> tuple[list[tuple], list[tuple]]:
             for path in reversed(missing):
                 out += [("mkdir", path), ("dirsync", _parent(path))]
                 dirs.add(path)
+        elif kind == "sync_dirs":
+            out += [("dirsync", d) for d in call[1]]
         else:
             raise ValueError(f"unknown durable call {kind!r}")
     return out, marks

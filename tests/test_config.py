@@ -1,4 +1,6 @@
 import json
+import typing
+from dataclasses import fields
 
 import pytest
 
@@ -48,6 +50,23 @@ class TestLoadConfig:
         assert config.store_backend == "filesystem"
         assert config.store_path == "/elsewhere"
         assert config.reconcile_on_start is False
+
+    # a valid value for each field as an environment variable gives it, and
+    # the value it sets
+    ENV_VALUES = {"host": ("0.0.0.0", "0.0.0.0"), "port": ("8080", 8080),
+                  "store_backend": ("memory", "memory"),
+                  "store_path": ("/data/store", "/data/store"),
+                  "index_path": ("/data/index", "/data/index"),
+                  "task_retention_seconds": ("60", 60.0), "max_concurrent_requests": ("4", 4),
+                  "index_batch_size": ("16", 16), "index_queue_size": ("32", 32),
+                  "reconcile_on_start": ("false", False)}
+
+    @pytest.mark.parametrize("name", [f.name for f in fields(ServerConfig)])
+    def test_each_environment_override_has_its_declared_type(self, name):
+        raw, expected = self.ENV_VALUES[name]
+        value = getattr(load_config(None, env={"GEOROCKET_" + name.upper(): raw}), name)
+        assert value == expected
+        assert isinstance(value, typing.get_type_hints(ServerConfig)[name])
 
     def test_unknown_backend_fails_fast(self):
         with pytest.raises(ConfigError):

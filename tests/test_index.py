@@ -1,4 +1,5 @@
 import gc
+import itertools
 import json
 import math
 import os
@@ -42,6 +43,7 @@ from georocket.query.ast import (
     render,
 )
 from georocket.store import StoredEntry
+from georocket.text import tokenize
 
 from conftest import identity
 from gendata import KEYS, TAGS, WORDS, geojson_feature, random_document, random_query
@@ -1026,7 +1028,7 @@ class TestPostings:
 
     @staticmethod
     def _assert_compact(index):
-        for table in (index._content_tokens, index._tag_ids, index._prop_tokens):
+        for table in (index._postings,):
             for key, held in table.items():
                 assert type(held) is str or (type(held) is set and len(held) >= 2), (key, held)
 
@@ -1081,7 +1083,70 @@ class TestPostings:
         assert index.query(parse_query("berlin")) == ["C0001", "C0002"]
         index.update_metadata(["C0001"], MetadataDelta(remove_tags=frozenset({"berlin"})))
         assert index.query(parse_query("berlin")) == ["C0002"]
-        assert index._tag_ids == {"berlin": "C0002"}
+        assert index._postings["berlin"] == "C0002"
+
+    @staticmethod
+    def _assert_exact(index, docs):
+        """One posting per token of a live chunk, holding exactly the chunks
+        with the token in their content, tags (lowered) or property values."""
+        expected: dict[str, set] = {}
+        for doc in docs:
+            tokens = set(doc.tokens) | {tag.lower() for tag in doc.metadata.tags}
+            for value in doc.metadata.properties.values():
+                tokens |= tokenize(value)
+            for token in tokens:
+                expected.setdefault(token, set()).add(doc.chunk_id)
+        assert {key: {held} if type(held) is str else held
+                for key, held in index._postings.items()} == expected
+
+    @pytest.mark.parametrize("order", list(itertools.permutations(["untag", "unprop", "delete"])))
+    @pytest.mark.parametrize("in_content", [True, False], ids=["content", "no-content"])
+    def test_a_token_from_every_source_leaves_with_its_last_one(self, tmp_path, order,
+                                                                 in_content):
+        """"tok" reaches C0001 from its content, a tag and a property value,
+        and other chunks from one source each. Each step takes one source
+        away from every chunk that has it, and the index is reopened after
+        each step."""
+        index = ChunkIndex(tmp_path / "idx")
+        docs = {d.chunk_id: d for d in [
+            make_doc(1, tokens=("tok", "alpha") if in_content else ("alpha",)),
+            make_doc(2, tokens=("tok",)),
+            make_doc(3, tags=("Tok",)),
+            make_doc(4, properties={"note": "tok"}),
+        ]}
+        index.add_documents(docs.values())
+        arrive = [MetadataDelta(add_tags=frozenset({"TOK"})),
+                  MetadataDelta(set_properties={"note": "a Tok here"})]
+        leave = {"untag": MetadataDelta(remove_tags=frozenset({"TOK", "Tok"})),
+                 "unprop": MetadataDelta(remove_properties=frozenset({"note"}))}
+        queries = [parse_query(q) for q in ("tok", "TOK", "here", "alpha", "AND(tok alpha)",
+                                            "NOT(tok)", "AND(alpha NOT(here))")]
+
+        def check():
+            self._assert_compact(index)
+            self._assert_exact(index, docs.values())
+            for ast in queries:
+                assert index.query(ast) == oracle_ids(docs.values(), ast), (order, ast)
+
+        for delta in arrive:
+            index.update_metadata(["C0001"], delta)
+            docs["C0001"] = docs["C0001"].with_metadata(docs["C0001"].metadata.with_delta(delta))
+            check()
+        for step in order:
+            if step == "delete":
+                index.delete(["C0001"])
+                del docs["C0001"]
+            else:
+                delta = leave[step]
+                index.update_metadata(list(docs), delta)
+                for cid, doc in docs.items():
+                    docs[cid] = doc.with_metadata(doc.metadata.with_delta(delta))
+            check()
+            index.close()
+            index = ChunkIndex(tmp_path / "idx")
+            check()
+        assert index._postings["tok"] == "C0002"
+        index.close()
 
     def test_a_round_leaves_no_cyclic_garbage(self, tmp_path):
         # the premise of freezing the collector's view of the index
@@ -1389,5 +1454,5 @@ class TestSpatialRepacks:
         assert index._spatial._pending == {}
         index.add_documents(boxed(i) for i in range(1100, 2000))
         index.delete([f"C{i:04d}" for i in range(1100, 2000)])
-        assert index._spatial._removed == set() and index._spatial._pending == {}
+        assert index._spatial._packed == len(index._spatial) and index._spatial._pending == {}
         assert index.query(parse_query("0,0,5000,5000")) == [f"C{i:04d}" for i in range(1100)]

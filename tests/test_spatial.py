@@ -70,6 +70,35 @@ class TestSpatialIndex:
                 exact = {p for p in candidates if p in live and _intersects(live[p], q)}
                 assert exact == expected
 
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_candidates_are_exactly_the_live_hits(self, seed):
+        """Adds, moves and removes, with queries in between that repack the
+        tree past 8 pending or stale entries: every query returns the exact
+        live set, never a stale or a removed payload."""
+        rng = random.Random(seed)
+        index = SpatialIndex(rebuild_threshold=8, node_capacity=4)
+        live = {}
+        for step in range(600):
+            roll = rng.random()
+            if roll < 0.4 or not live:
+                payload = f"p{step}"
+            elif roll < 0.65:
+                payload = rng.choice(sorted(live))  # a move
+            elif roll < 0.85:
+                victim = rng.choice(sorted(live))
+                index.remove(victim)
+                del live[victim]
+                continue
+            else:
+                x0, y0 = rng.uniform(-10, 100), rng.uniform(-10, 100)
+                q = (x0, y0, x0 + rng.uniform(0, 40), y0 + rng.uniform(0, 40))
+                assert index.candidates(q) == {p for p, r in live.items() if _intersects(r, q)}
+                continue
+            ((rect, _),) = random_rects(rng, 1)
+            index.add(payload, rect)
+            live[payload] = rect
+        assert index.candidates((-100, -100, 200, 200)) == set(live)
+
     def test_rebuild_drops_tombstones(self):
         index = SpatialIndex(rebuild_threshold=8)
         for i in range(10):

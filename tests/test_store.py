@@ -17,6 +17,7 @@ from georocket.model import (
 )
 from georocket.store import FileSystemStore, MemoryStore, StoredEntry, create_store
 
+import powerloss
 from conftest import identity
 
 XML_PARENTS = XmlParents(
@@ -281,6 +282,54 @@ class TestFileSystemSyncs:
         root = tmp_path / "new" / "s"
         assert synced_dirs == [identity(tmp_path), identity(tmp_path / "new"), identity(root),
                                identity(root)]  # made "new", "s", "layers" and "parents"
+
+    def test_a_reopened_store_syncs_each_of_its_directories_once(self, tmp_path, synced_dirs):
+        root = tmp_path / "s"
+        store = FileSystemStore(root)
+        for i, layer in enumerate(["/a/b", "/c", "/"]):
+            store.put(entry(i, layer=layer))
+        store.close()
+        synced_dirs.clear()
+        FileSystemStore(root)
+        layers = root / "layers"
+        assert sorted(synced_dirs) == sorted(identity(d) for d in (
+            root, root / "parents", layers, layers / "a", layers / "a" / "b", layers / "c"))
+
+    @pytest.mark.parametrize("left", [["layers/a"], ["parents"], ["layers/a", "parents"]])
+    def test_a_put_after_a_kill_survives_a_power_loss(self, tmp_path, monkeypatch, left):
+        """A killed process made the layer directory or the parents file of a
+        later put, and did not sync its directory. Every state a power loss
+        leaves after the put is acknowledged must still hold the chunk."""
+        root = tmp_path / "live"
+        store = FileSystemStore(root)
+        store.put(entry(0, layer="/a"))
+        store.delete(["S00000"])  # leaves the layer directory and the parents file
+        store.close()
+        (parents,) = (root / "parents").iterdir()
+        unsynced = ["parents/" + parents.name if name == "parents" else name for name in left]
+        recorder = powerloss.Recorder(root, unsynced)
+        put = entry(1, layer="/a")
+        with monkeypatch.context() as patch:
+            recorder.install(patch)
+            store = FileSystemStore(root)
+            store.put(put)
+            recorder.mark("put acknowledged")
+            store.close()
+        all_steps, marks, states = powerloss.crash_states(recorder, 200, 20261021)
+        assert {s.cut for s in states} == set(range(len(all_steps) + 1))
+        ((acknowledged, _, _),) = marks
+        failures = []
+        for n, state in enumerate(s for s in states if s.cut >= acknowledged):
+            powerloss.materialise(state, tmp_path / f"state{n}")
+            reopened = FileSystemStore(tmp_path / f"state{n}")
+            try:
+                got = reopened.get(put.id)
+                if (got.content, got.parents) != (put.content, put.parents):
+                    failures.append(f"changed: {state.describe(all_steps)}")
+            except NotFoundError:
+                failures.append(f"lost: {state.describe(all_steps)}")
+            reopened.close()
+        assert not failures, f"{len(failures)} states fail; first: {failures[0]}"
 
     def test_update_metadata_syncs_its_directory(self, tmp_path, synced_dirs):
         store = FileSystemStore(tmp_path / "s")
