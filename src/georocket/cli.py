@@ -28,6 +28,9 @@ from urllib.parse import quote, urlencode
 
 import requests
 
+from .errors import ParseError
+from .model import parse_property_specs
+
 DEFAULT_URL = "http://127.0.0.1:63020"
 
 _EXIT_OK = 0
@@ -70,15 +73,10 @@ def _query_string(params: dict) -> str:
 
 
 def _parse_props(raw: str) -> dict[str, str]:
-    out: dict[str, str] = {}
-    for spec in raw.split(","):
-        if not spec:
-            continue
-        key, sep, value = spec.partition(":")
-        if not sep or not key:
-            raise UsageError(f"malformed property {spec!r}; expected key:value")
-        out[key] = value
-    return out
+    try:
+        return parse_property_specs(raw)
+    except ParseError as e:
+        raise UsageError(e.message) from None
 
 
 def _parse_keys(raw: str) -> list[str]:

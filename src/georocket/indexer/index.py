@@ -15,7 +15,8 @@ Comparisons are answered from the columns by binary search in O(log n +
 matches) (see ``columns``): text EQ is case-insensitive while the ordering
 operators compare code points, dates compare as intervals at their
 granularity, and a NaN value satisfies only LTE and GTE. Date terms are
-answered the same way from the import timestamps, sorted. Columns and
+answered the same way from the import timestamps, sorted, between the
+date's two bounds rounded up to whole milliseconds. Columns and
 timestamps sort lazily: adds wait behind the part in order until a search
 reads them, and a delete keeps that part in order, so a batch added and
 deleted again between two searches costs neither of them a sort.
@@ -77,12 +78,12 @@ import time
 
 from ..errors import DuplicateIdError, UnknownIdError
 from ..model import (
+    EPOCH_US,
     ChunkMetadata,
     LayerPath,
     MetadataDelta,
     ROOT_LAYER,
     TypedValue,
-    epoch_ms_from_key,
     parse_layer_path,
 )
 from ..query.ast import (
@@ -530,5 +531,6 @@ def _done(entry: dict | None, out: set) -> None:
 
 
 def _date_bounds(node: DateTerm) -> tuple[int, int]:
-    """The import timestamps (epoch ms) of a date term's half-open interval."""
-    return epoch_ms_from_key(node.date.lower_key()), epoch_ms_from_key(node.date.upper_key())
+    """The import timestamps (epoch ms) of a date term's half-open interval:
+    the least millisecond at or after each bound."""
+    return -((EPOCH_US - node.date.lower) // 1000), -((EPOCH_US - node.date.upper) // 1000)

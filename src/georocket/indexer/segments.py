@@ -18,9 +18,12 @@ A line that does not parse or has no newline is a torn tail (a crash during
 append); replay ignores it and the rest of the log and sets ``torn``, and
 the caller compacts before it appends again, so a later commit is never
 written behind the torn bytes. Appends and rewrites go through ``durable``,
-so each is on disk when it returns. Unknown magic fails fast so a future
-format bump cannot be misread, and so does a directory with a ``manifest``,
-the layout of earlier versions.
+so each is on disk when it returns. Opening an existing log syncs the index
+directory and ``segments/`` once: a process killed after a compaction's
+rename, or after making a directory, may have left that name unsynced, and
+a commit appended to it would not survive a power loss. Unknown magic fails
+fast so a future format bump cannot be misread, and so does a directory
+with a ``manifest``, the layout of earlier versions.
 """
 
 from __future__ import annotations
@@ -58,7 +61,10 @@ class SegmentLog:
                 f"index directory {self.root} has the layout of an earlier version; "
                 "delete the directory to rebuild the index from the store")
         try:
-            durable.mkdir(self.path.parent)
+            if self.path.parent.is_dir():  # its names may be ones a killed process did not sync
+                durable.sync_dirs([self.root, self.path.parent])
+            else:
+                durable.mkdir(self.path.parent)
             if not self.path.exists():
                 durable.write_atomic(self.path, _HEADER)
         except OSError as e:

@@ -2,19 +2,20 @@
 
 All types in this module are immutable values and safe to share between
 threads. Layer names are case-sensitive. Timestamps are UTC milliseconds
-since the epoch; dates written without a zone are interpreted as UTC.
+since the epoch; dates written without a zone are interpreted as UTC. A
+date is held as the interval it covers, two integers of microseconds since
+0000-01-01T00:00Z, so every comparison of dates compares integers.
 """
 
 from __future__ import annotations
 
-import calendar
 import math
 import re
 from dataclasses import dataclass, field, replace
-from datetime import MAXYEAR, MINYEAR, datetime, timedelta, timezone
+from datetime import date
 from enum import Enum
 
-from .errors import MalformedPathError
+from .errors import MalformedPathError, ParseError
 
 __all__ = [
     "Format",
@@ -23,6 +24,7 @@ __all__ = [
     "parse_layer_path",
     "BoundingBox",
     "DateValue",
+    "EPOCH_US",
     "TypedValue",
     "CollectionKind",
     "XmlParents",
@@ -30,6 +32,7 @@ __all__ = [
     "Parents",
     "ChunkMetadata",
     "MetadataDelta",
+    "parse_property_specs",
 ]
 
 
@@ -148,41 +151,49 @@ _DATE_RE = re.compile(
     r")?)?)?$"
 )
 
-_UTC = timezone.utc
+_DAY_US = 86_400_000_000
+# days before the first of each month of a common year; 13 is next January
+_MONTH_START = (0, 0, 31, 59, 90, 120, 151, 181, 212, 243, 273, 304, 334, 365)
+
+
+def _first_of(year: int, month: int) -> int:
+    """Days from 0000-01-01 to the first of ``month`` (13: the next January)."""
+    leap = month > 2 and year % 4 == 0 and (year % 100 != 0 or year % 400 == 0)
+    return (365 * year + (year + 3) // 4 - (year + 99) // 100 + (year + 399) // 400
+            + _MONTH_START[month] + leap)
+
+
+EPOCH_US = _first_of(1970, 1) * _DAY_US  # 1970-01-01T00:00Z on the DateValue scale
+_YEAR_1 = _first_of(1, 1) * _DAY_US
+_YEAR_10000 = _first_of(10000, 1) * _DAY_US
+_CYCLE = _first_of(400, 1)  # days in 400 years, after which the calendar repeats
+
+# precisions of dates; a timestamp's is its count of fraction digits, 0-6
+_YEAR, _MONTH, _DAY = -3, -2, -1
+_GRANULARITY = {_YEAR: "year", _MONTH: "month", _DAY: "day"}
+_ISO_LENGTH = {_YEAR: 4, _MONTH: 7, _DAY: 10}
 
 
 @dataclass(frozen=True, slots=True)
 class DateValue:
     """An ISO-8601 date at year, month, day, or timestamp granularity.
 
-    A value denotes the half-open interval [lower_key(), upper_key()): e.g.
-    2018 covers all of that year, 2018-09 all of that month. Timestamps are
-    degenerate intervals one second (or one fractional digit step) wide.
-    Values parsed with a zone offset are normalised to UTC.
+    A value is the half-open interval [lower, upper) in microseconds since
+    0000-01-01T00:00Z, proleptic Gregorian, computed once by ``parse``: 2018
+    covers all of that year, 2018-09 all of that month, and a timestamp one
+    second, or one step of its last fraction digit. Values parsed with a
+    zone offset are normalised to UTC. ``precision`` is how the date was
+    written, which ``iso`` renders: year, month or day (``_YEAR``,
+    ``_MONTH``, ``_DAY``), or a timestamp's count of fraction digits.
     """
 
-    year: int
-    month: int | None = None
-    day: int | None = None
-    hour: int | None = None
-    minute: int | None = None
-    second: int | None = None
-    microsecond: int = 0
-    fraction_digits: int = 0
-
-    @property
-    def has_time(self) -> bool:
-        return self.hour is not None
+    lower: int
+    upper: int
+    precision: int
 
     @property
     def granularity(self) -> str:
-        if self.has_time:
-            return "time"
-        if self.day is not None:
-            return "day"
-        if self.month is not None:
-            return "month"
-        return "year"
+        return _GRANULARITY.get(self.precision, "time")
 
     @classmethod
     def parse(cls, text: str) -> "DateValue | None":
@@ -190,109 +201,56 @@ class DateValue:
         m = _DATE_RE.match(text)
         if not m:
             return None
-        year = int(m.group(1))
-        month = int(m.group(2)) if m.group(2) else None
-        day = int(m.group(3)) if m.group(3) else None
-        if month is not None and not 1 <= month <= 12:
+        year, month, day, hour, minute, second, frac, zone = m.groups()
+        year = int(year)
+        if month is None:
+            return cls(_first_of(year, 1) * _DAY_US, _first_of(year, 13) * _DAY_US, _YEAR)
+        month = int(month)
+        if not 1 <= month <= 12:
             return None
-        if day is not None and not 1 <= day <= calendar.monthrange(year, month)[1]:
+        first, end = _first_of(year, month), _first_of(year, month + 1)
+        if day is None:
+            return cls(first * _DAY_US, end * _DAY_US, _MONTH)
+        start = first + int(day) - 1
+        if not first <= start < end:
             return None
-        if m.group(4) is None:
-            return cls(year, month, day)
-        hour, minute, second = int(m.group(4)), int(m.group(5)), int(m.group(6))
+        if hour is None:
+            return cls(start * _DAY_US, (start + 1) * _DAY_US, _DAY)
+        hour, minute, second = int(hour), int(minute), int(second)
         if hour > 23 or minute > 59 or second > 59:
             return None
-        frac = m.group(7) or ""
-        micro = int(frac.ljust(6, "0")) if frac else 0
-        zone = m.group(8)
+        lower = start * _DAY_US + ((hour * 60 + minute) * 60 + second) * 1_000_000
+        if frac:
+            lower += int(frac.ljust(6, "0"))
         if zone and zone != "Z":
-            sign = 1 if zone[0] == "+" else -1
-            oh, om = int(zone[1:3]), int(zone[4:6])
-            if oh > 23 or om > 59:
+            hours, minutes = int(zone[1:3]), int(zone[4:6])
+            if hours > 23 or minutes > 59:
                 return None
-            try:
-                dt = datetime(year, month, day, hour, minute, second, micro, tzinfo=_UTC)
-                dt -= sign * timedelta(hours=oh, minutes=om)
-            except (OverflowError, ValueError):
+            offset = (hours * 60 + minutes) * 60_000_000
+            lower += -offset if zone[0] == "+" else offset
+            # a zoned time must be one datetime can shift: not in year 0,
+            # and in years 1-9999 in UTC
+            if year == 0 or not _YEAR_1 <= lower < _YEAR_10000:
                 return None
-            year, month, day = dt.year, dt.month, dt.day
-            hour, minute, second, micro = dt.hour, dt.minute, dt.second, dt.microsecond
-        return cls(year, month, day, hour, minute, second, micro, len(frac))
-
-    def lower_key(self) -> tuple:
-        """Inclusive lower bound as a lexicographically comparable tuple."""
-        return (
-            self.year,
-            self.month or 1,
-            self.day or 1,
-            self.hour or 0,
-            self.minute or 0,
-            self.second or 0,
-            self.microsecond,
-        )
-
-    def upper_key(self) -> tuple:
-        """Exclusive upper bound; always greater than lower_key()."""
-        if self.has_time:
-            step = 1_000_000 if self.fraction_digits == 0 else 10 ** (6 - self.fraction_digits)
-            return _add_micro(self.lower_key(), step)
-        if self.day is not None:
-            y, m, d = self.year, self.month, self.day
-            if d < calendar.monthrange(y, m)[1]:
-                return (y, m, d + 1, 0, 0, 0, 0)
-            return _next_month(y, m) + (1, 0, 0, 0, 0)
-        if self.month is not None:
-            return _next_month(self.year, self.month) + (1, 0, 0, 0, 0)
-        return (self.year + 1, 1, 1, 0, 0, 0, 0)
+        digits = len(frac) if frac else 0
+        return cls(lower, lower + 10 ** (6 - digits), digits)
 
     def iso(self) -> str:
-        """Canonical text at the stored granularity (times rendered with Z)."""
-        if self.month is None:
-            return f"{self.year:04d}"
-        if self.day is None:
-            return f"{self.year:04d}-{self.month:02d}"
-        base = f"{self.year:04d}-{self.month:02d}-{self.day:02d}"
-        if not self.has_time:
-            return base
-        t = f"T{self.hour:02d}:{self.minute:02d}:{self.second:02d}"
-        if self.fraction_digits:
-            frac = f"{self.microsecond:06d}"[: self.fraction_digits]
-            t += f".{frac}"
-        return base + t + "Z"
-
-
-def _next_month(year: int, month: int) -> tuple[int, int]:
-    return (year + 1, 1) if month == 12 else (year, month + 1)
-
-
-def _add_micro(key: tuple, step: int) -> tuple:
-    y, mo, d, h, mi, s, us = key
-    us += step
-    s, us = s + us // 1_000_000, us % 1_000_000
-    mi, s = mi + s // 60, s % 60
-    h, mi = h + mi // 60, mi % 60
-    d, h = d + h // 24, h % 24
-    while d > calendar.monthrange(y, mo)[1]:
-        d -= calendar.monthrange(y, mo)[1]
-        y, mo = _next_month(y, mo)
-    return (y, mo, d, h, mi, s, us)
-
-
-def timestamp_key(ms: int) -> tuple:
-    """Comparable tuple for a UTC epoch-millisecond instant."""
-    sec, rem = divmod(ms, 1000)
-    dt = datetime.fromtimestamp(sec, tz=_UTC)
-    return (dt.year, dt.month, dt.day, dt.hour, dt.minute, dt.second, rem * 1000)
-
-
-def epoch_ms_from_key(key: tuple) -> float:
-    """The least epoch millisecond whose ``timestamp_key`` is not below ``key``."""
-    if key[0] < MINYEAR:
-        return -math.inf
-    if key[0] > MAXYEAR:
-        return math.inf
-    micros = calendar.timegm(key[:6]) * 1_000_000 + key[6]
-    return -(-micros // 1000)
+        """Canonical text at the precision it was written in (times with Z)."""
+        days, micros = divmod(self.lower, _DAY_US)
+        ordinal = days - 365  # date's ordinal 1, 0001-01-01, is day 366 here
+        if ordinal > 0:
+            text = date.fromordinal(ordinal).isoformat()
+        else:  # year 0, which date lacks, read as year 400
+            text = "0000" + date.fromordinal(ordinal + _CYCLE).isoformat()[4:]
+        precision = self.precision
+        if precision < 0:
+            return text[:_ISO_LENGTH[precision]]
+        seconds, micros = divmod(micros, 1_000_000)
+        text += f"T{seconds // 3600:02d}:{seconds // 60 % 60:02d}:{seconds % 60:02d}"
+        if precision:
+            text += f".{micros:06d}"[:precision + 1]
+        return text + "Z"
 
 
 _NUMBER_RE = re.compile(r"^[+-]?(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?$")
@@ -462,3 +420,16 @@ class MetadataDelta:
             add_tags=frozenset(rec.get("add_tags", ())),
             remove_tags=frozenset(rec.get("rm_tags", ())),
         )
+
+
+def parse_property_specs(raw: str) -> dict[str, str]:
+    """Parse comma-separated ``key:value`` pairs; malformed specs raise ParseError."""
+    out: dict[str, str] = {}
+    for spec in raw.split(","):
+        if not spec:
+            continue
+        key, sep, value = spec.partition(":")
+        if not sep or not key:
+            raise ParseError(f"malformed property {spec!r}; expected key:value")
+        out[key] = value
+    return out

@@ -17,7 +17,7 @@ Semantics:
 
 from __future__ import annotations
 
-from ..model import DateValue, TypedValue, timestamp_key
+from ..model import EPOCH_US, DateValue, TypedValue
 from ..text import tokenize
 from .ast import (
     BBoxTerm,
@@ -42,14 +42,14 @@ _ORDERED = {
 def _compare_dates(op: CompareOp, left: DateValue, right: DateValue) -> bool:
     # Interval semantics over half-open [lower, upper) ranges.
     if op is CompareOp.EQ:
-        return left.lower_key() < right.upper_key() and left.upper_key() > right.lower_key()
+        return left.lower < right.upper and left.upper > right.lower
     if op is CompareOp.LT:
-        return left.upper_key() <= right.lower_key()
+        return left.upper <= right.lower
     if op is CompareOp.LTE:
-        return left.lower_key() < right.upper_key()
+        return left.lower < right.upper
     if op is CompareOp.GT:
-        return left.lower_key() >= right.upper_key()
-    return left.upper_key() > right.lower_key()  # GTE
+        return left.lower >= right.upper
+    return left.upper > right.lower  # GTE
 
 
 def compare_typed(op: CompareOp, left: TypedValue, right: TypedValue) -> bool:
@@ -105,8 +105,8 @@ def evaluate_oracle(node: QueryNode, doc) -> bool:
     if isinstance(node, BBoxTerm):
         return doc.bbox is not None and doc.bbox.intersects(node.bbox)
     if isinstance(node, DateTerm):
-        key = timestamp_key(doc.metadata.import_timestamp)
-        return node.date.lower_key() <= key < node.date.upper_key()
+        instant = doc.metadata.import_timestamp * 1000 + EPOCH_US
+        return node.date.lower <= instant < node.date.upper
     if isinstance(node, Comparison):
         return any(
             compare_typed(node.op, value, node.value)

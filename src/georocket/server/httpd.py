@@ -87,7 +87,7 @@ from ..errors import (
     UnsupportedEncodingError,
 )
 from ..merger import content_type
-from ..model import Format, MetadataDelta, parse_layer_path
+from ..model import Format, MetadataDelta, parse_layer_path, parse_property_specs
 from .app import GeoRocketApp
 from .config import ServerConfig
 
@@ -141,19 +141,6 @@ _STATUS_BY_CODE = {
 _DAYS = ("Mon", "Tue", "Wed", "Thu", "Fri", "Sat", "Sun")
 _MONTHS = ("", "Jan", "Feb", "Mar", "Apr", "May", "Jun", "Jul", "Aug", "Sep", "Oct", "Nov",
            "Dec")
-
-
-def parse_property_specs(raw: str) -> dict[str, str]:
-    """Parse comma-separated ``key:value`` pairs; malformed specs raise."""
-    out: dict[str, str] = {}
-    for spec in raw.split(","):
-        if not spec:
-            continue
-        key, sep, value = spec.partition(":")
-        if not sep or not key:
-            raise ParseError(f"malformed property {spec!r}; expected key:value")
-        out[key] = value
-    return out
 
 
 def parse_tag_list(raw: str) -> list[str]:

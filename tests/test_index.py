@@ -45,6 +45,7 @@ from georocket.query.ast import (
 from georocket.store import StoredEntry
 from georocket.text import tokenize
 
+import powerloss
 from conftest import identity
 from gendata import KEYS, TAGS, WORDS, geojson_feature, random_document, random_query
 
@@ -291,6 +292,20 @@ class TestOracleEquivalence:
             got = set(index.query(ast))
             expected = {d.chunk_id for d in by_id.values() if evaluate_oracle(ast, d)}
             assert got == expected
+
+    @pytest.mark.parametrize("query", ["2018", "0000", "9999", "NOT(2018)", "AND(alpha 2018)",
+                                       "AND(alpha NOT(9999))"])
+    def test_import_timestamps_outside_years_1_to_9999(self, query):
+        """The evaluator answers a date term for any import timestamp, and the
+        index agrees with it, at the edges of years 0 and 9999 too."""
+        stamps = [2**62, -2**62, 253_402_300_800_000, 253_402_300_799_999,  # 10000-01-01, before
+                  -62_167_219_200_000, -62_167_219_200_001,  # 0000-01-01, before
+                  1_514_764_800_000]  # 2018-01-01
+        docs = [make_doc(i, ts=ts) for i, ts in enumerate(stamps)]
+        index = ChunkIndex()
+        index.add_documents(docs)
+        ast = parse_query(query)
+        assert index.query(ast) == oracle_ids(docs, ast)
 
 
 @st.composite
@@ -792,13 +807,43 @@ class TestSegmentLog:
         assert synced_dirs == [segments]
         log.close()
         assert SegmentLog(root).records == 0  # reopening creates nothing
-        assert synced_dirs == [segments]
+        assert synced_dirs == [segments, identity(root), segments]  # and syncs both directories
 
     def test_a_new_index_directory_is_synced_in_its_parent(self, tmp_path, synced_dirs):
         root = tmp_path / "new" / "idx"
         SegmentLog(root).close()
         assert synced_dirs == [identity(tmp_path), identity(tmp_path / "new"), identity(root),
                                identity(root / "segments")]  # the three made, then the log's
+
+    @pytest.mark.parametrize("left", [["segments/log.seg"], ["segments"],
+                                      ["segments", "segments/log.seg"]])
+    def test_a_commit_after_a_kill_survives_a_power_loss(self, tmp_path, monkeypatch, left):
+        """A killed process renamed a compacted log into place, or made the
+        log's directory, and did not sync its directory. Every state a power
+        loss leaves after the next process acknowledges a commit must replay
+        that commit."""
+        root = tmp_path / "live"
+        index = ChunkIndex(root)
+        index.add_documents([make_doc(0)])
+        index.close()
+        recorder = powerloss.Recorder(root, left)
+        with monkeypatch.context() as patch:
+            recorder.install(patch)
+            index = ChunkIndex(root)
+            index.add_documents([make_doc(1)])
+            recorder.mark("commit acknowledged")
+            index.close()
+        all_steps, marks, states = powerloss.crash_states(recorder, 200, 20261022)
+        assert {s.cut for s in states} == set(range(len(all_steps) + 1))
+        ((acknowledged, _, _),) = marks
+        lost = []
+        for n, state in enumerate(s for s in states if s.cut >= acknowledged):
+            powerloss.materialise(state, tmp_path / f"state{n}")
+            reopened = ChunkIndex(tmp_path / f"state{n}")
+            if "C0001" not in reopened.query(MatchAll()):
+                lost.append(state.describe(all_steps))
+            reopened.close()
+        assert not lost, f"{len(lost)} states lose the commit; first: {lost[0]}"
 
     def test_replay_yields_each_record_with_its_line(self, tmp_path):
         log = SegmentLog(tmp_path / "idx")

@@ -1,23 +1,25 @@
 import math
 import re
 import threading
+from datetime import datetime, timedelta
 
 import pytest
 from hypothesis import given, strategies as st
 
 from georocket.errors import MalformedPathError
 from georocket.ids import new_chunk_id
+from georocket.indexer.index import _date_bounds
 from georocket.model import (
     BoundingBox,
     ChunkMetadata,
     DateValue,
+    EPOCH_US,
     LayerPath,
     MetadataDelta,
     TypedValue,
-    epoch_ms_from_key,
     parse_layer_path,
-    timestamp_key,
 )
+from georocket.query.ast import DateTerm
 from georocket.text import tokenize
 
 segments = st.lists(
@@ -28,6 +30,9 @@ segments = st.lists(
     ).filter(lambda s: s not in (".", "..")),
     max_size=5,
 )
+
+DAY_MS = 86_400_000
+DAY_US = DAY_MS * 1000
 
 
 class TestLayerPath:
@@ -77,35 +82,41 @@ class TestLayerPath:
             assert p.is_ancestor_or_self(r)
 
 
+def micros(*fields) -> int:
+    """The DateValue scale, microseconds since 0000-01-01T00:00Z, of a UTC
+    datetime: year 0 is a leap year of 366 days."""
+    return (datetime(*fields) - datetime(1, 1, 1)) // timedelta(microseconds=1) + 366 * DAY_US
+
+
 class TestDateValue:
     def test_year_bounds(self):
         d = DateValue.parse("2018")
-        assert d.lower_key() == (2018, 1, 1, 0, 0, 0, 0)
-        assert d.upper_key() == (2019, 1, 1, 0, 0, 0, 0)
+        assert d.lower == micros(2018, 1, 1)
+        assert d.upper == micros(2019, 1, 1)
 
     def test_refinement_narrows(self):
         year = DateValue.parse("2018")
         month = DateValue.parse("2018-09")
-        assert year.lower_key() <= month.lower_key()
-        assert month.upper_key() <= year.upper_key()
+        assert year.lower <= month.lower
+        assert month.upper <= year.upper
 
     def test_day_rollover_at_year_end(self):
-        assert DateValue.parse("2018-12-31").upper_key() == (2019, 1, 1, 0, 0, 0, 0)
-        assert DateValue.parse("2018-12").upper_key() == (2019, 1, 1, 0, 0, 0, 0)
+        assert DateValue.parse("2018-12-31").upper == micros(2019, 1, 1)
+        assert DateValue.parse("2018-12").upper == micros(2019, 1, 1)
 
     def test_time_granularity(self):
         d = DateValue.parse("2018-02-13T10:30:00")
-        assert d.lower_key() == (2018, 2, 13, 10, 30, 0, 0)
-        assert d.upper_key() == (2018, 2, 13, 10, 30, 1, 0)
+        assert d.lower == micros(2018, 2, 13, 10, 30, 0, 0)
+        assert d.upper == micros(2018, 2, 13, 10, 30, 1, 0)
 
     def test_fractional_seconds(self):
         d = DateValue.parse("2018-02-13T10:30:00.500")
-        assert d.lower_key()[-1] == 500000
-        assert d.upper_key()[-1] == 501000
+        assert d.lower == micros(2018, 2, 13, 10, 30, 0, 500000)
+        assert d.upper == micros(2018, 2, 13, 10, 30, 0, 501000)
 
     def test_zone_offset_normalised_to_utc(self):
         d = DateValue.parse("2018-02-13T10:00:00+02:00")
-        assert (d.hour, d.minute) == (8, 0)
+        assert d.lower == micros(2018, 2, 13, 8, 0)
         assert d.iso() == "2018-02-13T08:00:00Z"
 
     def test_invalid_dates(self):
@@ -132,21 +143,29 @@ class TestDateValue:
             text += "T12:00:00"
         d = DateValue.parse(text)
         assert d is not None
-        assert d.lower_key() < d.upper_key()
+        assert d.lower < d.upper
 
     def test_timestamp_key(self):
-        # 2018-02-13T00:00:00Z
-        assert timestamp_key(1518480000000) == (2018, 2, 13, 0, 0, 0, 0)
-        assert timestamp_key(1518480000123)[-1] == 123000
+        # an import timestamp of ms milliseconds is ms * 1000 + EPOCH_US on the
+        # date scale; 1518480000000 ms is 2018-02-13T00:00:00Z
+        assert EPOCH_US == micros(1970, 1, 1)
+        assert DateValue.parse("2018-02-13T00:00:00Z").lower == 1518480000000 * 1000 + EPOCH_US
+        assert DateValue.parse("2018-02-13T00:00:00.123Z").lower == 1518480000123 * 1000 + EPOCH_US
 
     @given(st.integers(-62_135_596_800_000, 253_402_300_799_999))
     def test_epoch_ms_from_key_inverts_timestamp_key(self, ms):
-        assert epoch_ms_from_key(timestamp_key(ms)) == ms
+        instant = datetime(1970, 1, 1) + timedelta(milliseconds=ms)
+        d = DateValue.parse(instant.isoformat(timespec="milliseconds"))
+        assert d.lower == ms * 1000 + EPOCH_US
+        assert _date_bounds(DateTerm(d)) == (ms, ms + 1)
 
     def test_epoch_ms_from_key_rounds_up_to_the_next_millisecond(self):
-        assert epoch_ms_from_key((2018, 2, 13, 0, 0, 0, 1)) == 1518480000001
-        assert epoch_ms_from_key((0, 1, 1, 0, 0, 0, 0)) == -math.inf
-        assert epoch_ms_from_key((10000, 1, 1, 0, 0, 0, 0)) == math.inf
+        assert _date_bounds(DateTerm(DateValue.parse("2018-02-13T00:00:00.000001")))[0] \
+            == 1518480000001
+        assert _date_bounds(DateTerm(DateValue.parse("0000")))[0] \
+            == (datetime(1, 1, 1) - datetime(1970, 1, 1)) // timedelta(milliseconds=1) - 366 * DAY_MS
+        assert _date_bounds(DateTerm(DateValue.parse("9999")))[1] \
+            == (datetime(9999, 12, 31) - datetime(1970, 1, 1)) // timedelta(milliseconds=1) + DAY_MS
 
 
 class TestBoundingBox:
